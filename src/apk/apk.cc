@@ -8,18 +8,24 @@
 
 namespace apichecker::apk {
 
-std::string ContentDigest(std::span<const uint8_t> bytes) {
+std::string ContentDigest(std::initializer_list<std::span<const uint8_t>> parts) {
   // Two independent 64-bit mixing chains give a 128-bit digest. Not
   // cryptographic — it plays MD5's *identity* role, not a security role.
+  // The value is stored in every APK's signature entry, so this function is
+  // part of the format: it must stay bit-for-bit.
   uint64_t a = 0x6a09e667f3bcc908ull;
   uint64_t b = 0xbb67ae8584caa73bull;
-  for (uint8_t byte : bytes) {
-    a = util::SplitMix64(a ^ byte);
-    b = util::SplitMix64(b + (static_cast<uint64_t>(byte) << 1 | 1));
+  for (std::span<const uint8_t> part : parts) {
+    for (uint8_t byte : part) {
+      a = util::SplitMix64(a ^ byte);
+      b = util::SplitMix64(b + (static_cast<uint64_t>(byte) << 1 | 1));
+    }
   }
   return util::StrFormat("%016llx%016llx", static_cast<unsigned long long>(a),
                          static_cast<unsigned long long>(b));
 }
+
+std::string ContentDigest(std::span<const uint8_t> bytes) { return ContentDigest({bytes}); }
 
 namespace {
 
@@ -43,9 +49,7 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
   const std::vector<uint8_t> dex_bytes = EncodeDex(dex);
 
   // Digest covers the code-bearing entries, like a real signature digest.
-  std::vector<uint8_t> digest_input = manifest_bytes;
-  digest_input.insert(digest_input.end(), dex_bytes.begin(), dex_bytes.end());
-  const std::string digest = ContentDigest(digest_input);
+  const std::string digest = ContentDigest({manifest_bytes, dex_bytes});
 
   ZipWriter writer;
   writer.AddEntry(kManifestEntry, manifest_bytes);
@@ -65,16 +69,18 @@ util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
     return util::Err("apk container: " + zip.error());
   }
 
-  const std::vector<uint8_t>* manifest_bytes = zip->Find(kManifestEntry);
-  if (manifest_bytes == nullptr) {
+  // Entry views borrow `bytes`; everything copied into the ApkFile below is
+  // owned, so the result outlives the caller's buffer.
+  const auto manifest_bytes = zip->Find(kManifestEntry);
+  if (!manifest_bytes) {
     return util::Err("apk missing AndroidManifest.xml");
   }
-  const std::vector<uint8_t>* dex_bytes = zip->Find(kDexEntry);
-  if (dex_bytes == nullptr) {
+  const auto dex_bytes = zip->Find(kDexEntry);
+  if (!dex_bytes) {
     return util::Err("apk missing classes.dex");
   }
-  const std::vector<uint8_t>* signature_bytes = zip->Find(kSignatureEntry);
-  if (signature_bytes == nullptr) {
+  const auto signature_bytes = zip->Find(kSignatureEntry);
+  if (!signature_bytes) {
     return util::Err("apk missing signature entry");
   }
 
@@ -87,10 +93,8 @@ util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
     return util::Err("apk dex: " + dex.error());
   }
 
-  std::vector<uint8_t> digest_input = *manifest_bytes;
-  digest_input.insert(digest_input.end(), dex_bytes->begin(), dex_bytes->end());
-  const std::string expected_digest = ContentDigest(digest_input);
-  const std::string stored_digest(signature_bytes->begin(), signature_bytes->end());
+  const std::string expected_digest = ContentDigest({*manifest_bytes, *dex_bytes});
+  std::string stored_digest(signature_bytes->begin(), signature_bytes->end());
   if (stored_digest != expected_digest) {
     return util::Err("apk signature digest mismatch");
   }
@@ -98,8 +102,8 @@ util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
   ApkFile apk;
   apk.manifest = std::move(*manifest);
   apk.dex = std::move(*dex);
-  apk.has_native_lib = zip->Find(kNativeLibEntry) != nullptr;
-  apk.digest = stored_digest;
+  apk.has_native_lib = zip->Find(kNativeLibEntry).has_value();
+  apk.digest = std::move(stored_digest);
   return apk;
 }
 

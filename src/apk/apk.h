@@ -8,6 +8,7 @@
 #define APICHECKER_APK_APK_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@ inline constexpr char kDexEntry[] = "classes.dex";
 inline constexpr char kNativeLibEntry[] = "lib/armeabi-v7a/libnative.so";
 inline constexpr char kSignatureEntry[] = "META-INF/CERT.SF";
 
+// Owns everything it holds: nothing in an ApkFile points into the bytes it
+// was parsed from, so the caller may drop those bytes right after ParseApk.
 struct ApkFile {
   Manifest manifest;
   DexFile dex;
@@ -32,6 +35,9 @@ struct ApkFile {
 
 // 128-bit content digest rendered as 32 hex chars.
 std::string ContentDigest(std::span<const uint8_t> bytes);
+// Digest of the concatenation of `parts`, without building it: the digest is
+// a byte-serial fold, so ContentDigest({a, b}) == ContentDigest(a ++ b).
+std::string ContentDigest(std::initializer_list<std::span<const uint8_t>> parts);
 
 // Serializes the package into APK (ZIP) bytes. When `include_native_lib` is
 // set a small ARM-flavoured stub library is embedded (its presence is what

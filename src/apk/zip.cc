@@ -155,11 +155,11 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
     if (*method != kMethodStored) {
       return util::Err("unsupported compression method");
     }
-    auto name_bytes = central.ReadBytes(*name_len);
+    auto name_bytes = central.ReadSpan(*name_len);
     if (!name_bytes.ok()) {
       return util::Err("truncated entry name");
     }
-    auto skipped = central.ReadBytes(static_cast<size_t>(*extra_len) + *comment_len);
+    auto skipped = central.ReadSpan(static_cast<size_t>(*extra_len) + *comment_len);
     if (!skipped.ok()) {
       return util::Err("truncated entry extra/comment");
     }
@@ -186,35 +186,29 @@ util::Result<ZipReader> ZipReader::Parse(std::span<const uint8_t> bytes) {
     if (!local_name_len.ok() || !local_extra_len.ok()) {
       return util::Err("truncated local header");
     }
-    auto local_name = local.ReadBytes(*local_name_len);
-    auto local_extra = local.ReadBytes(*local_extra_len);
-    if (!local_name.ok() || !local_extra.ok()) {
+    if (!local.ReadSpan(static_cast<size_t>(*local_name_len) + *local_extra_len).ok()) {
       return util::Err("truncated local header name");
     }
-    auto data = local.ReadBytes(*uncomp_size);
+    auto data = local.ReadSpan(*uncomp_size);
     if (!data.ok()) {
       return util::Err("truncated entry data");
     }
+    std::string name(name_bytes->begin(), name_bytes->end());
     if (util::Crc32(*data) != *crc) {
-      return util::Err("CRC mismatch for entry '" +
-                       std::string(name_bytes->begin(), name_bytes->end()) + "'");
+      return util::Err("CRC mismatch for entry '" + name + "'");
     }
-
-    ZipEntry entry;
-    entry.name.assign(name_bytes->begin(), name_bytes->end());
-    entry.data = std::move(*data);
-    reader.entries_.push_back(std::move(entry));
+    reader.entries_.push_back(ZipEntry{std::move(name), *data});
   }
   return reader;
 }
 
-const std::vector<uint8_t>* ZipReader::Find(const std::string& name) const {
+std::optional<std::span<const uint8_t>> ZipReader::Find(std::string_view name) const {
   for (const ZipEntry& entry : entries_) {
     if (entry.name == name) {
-      return &entry.data;
+      return entry.data;
     }
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace apichecker::apk

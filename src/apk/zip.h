@@ -3,13 +3,19 @@
 // central directory, and an end-of-central-directory record; the reader
 // locates the EOCD from the tail, walks the central directory, and validates
 // each entry's CRC — the same structural work a real APK parser performs.
+//
+// The reader is zero-copy: each entry's data is a view into the parsed
+// bytes, so those bytes must outlive the ZipReader and every span taken from
+// it. Every entry's CRC is verified inside Parse(), before any is handed out.
 
 #ifndef APICHECKER_APK_ZIP_H_
 #define APICHECKER_APK_ZIP_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -38,18 +44,19 @@ class ZipWriter {
 
 struct ZipEntry {
   std::string name;
-  std::vector<uint8_t> data;
+  std::span<const uint8_t> data;  // Into the bytes given to ZipReader::Parse.
 };
 
 class ZipReader {
  public:
-  // Parses and CRC-validates the whole archive.
+  // Parses and CRC-validates the whole archive. The reader borrows `bytes`.
   static util::Result<ZipReader> Parse(std::span<const uint8_t> bytes);
 
   const std::vector<ZipEntry>& entries() const { return entries_; }
 
-  // Returns the entry's data or null if absent.
-  const std::vector<uint8_t>* Find(const std::string& name) const;
+  // Returns a view of the entry's data, or nullopt if absent (an empty span
+  // is a present, empty entry).
+  std::optional<std::span<const uint8_t>> Find(std::string_view name) const;
 
  private:
   std::vector<ZipEntry> entries_;

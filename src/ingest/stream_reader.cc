@@ -79,20 +79,28 @@ util::Result<ApkBlob> ReadApkBlob(ApkStreamReader& reader, size_t chunk_bytes) {
       registry.counter(obs::names::kIngestBytesStreamedTotal);
   obs::Counter& chunks = registry.counter(obs::names::kIngestChunksTotal);
 
+  // Chunks land straight in the blob's buffer (no scratch copy) and are
+  // hashed while still in cache. Reads never ask past the reserved capacity,
+  // and one spare byte past the size hint lets the last read see EOF without
+  // growing, so an exact hint means one allocation and no reallocation copy.
   std::vector<uint8_t> bytes;
   if (auto hint = reader.SizeHint()) {
-    bytes.reserve(*hint);
+    bytes.reserve(*hint + 1);
   }
-  std::vector<uint8_t> chunk(chunk_bytes);
   util::Sha1Hasher hasher;
   for (;;) {
-    auto n = reader.Read(chunk);
+    const size_t filled = bytes.size();
+    if (filled == bytes.capacity()) {
+      bytes.reserve(std::max(2 * filled, filled + chunk_bytes));
+    }
+    bytes.resize(std::min(bytes.capacity(), filled + chunk_bytes));
+    auto n = reader.Read(std::span<uint8_t>(bytes).subspan(filled));
     if (!n.ok()) {
       return util::Err(n.error());
     }
+    bytes.resize(filled + *n);
     if (*n == 0) break;
-    hasher.Update(std::span<const uint8_t>(chunk.data(), *n));
-    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + *n);
+    hasher.Update(std::span<const uint8_t>(bytes).subspan(filled));
     bytes_streamed.Increment(*n);
     chunks.Increment();
   }

@@ -1,6 +1,7 @@
 #include "serve/farm_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -330,15 +331,62 @@ std::vector<size_t> FarmPool::PoolBatch::AffectedIndices() const {
   return all;
 }
 
+namespace {
+
+// Shared state of one batch's parse fan-out. Helper tasks hold it through a
+// shared_ptr: one dequeued after the batch moved on finds every index
+// claimed and returns without touching blobs or results.
+struct ParseFanout {
+  explicit ParseFanout(std::vector<ingest::ApkBlob> b)
+      : blobs(std::move(b)), total(blobs.size()), results(total) {}
+
+  // Claims and parses indices until none are left.
+  void Drain() {
+    obs::Histogram& parse_ms = obs::MetricsRegistry::Default().histogram(
+        obs::names::kIngestParseStageMs);
+    for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+      const Clock::time_point start = Clock::now();
+      results[i].emplace(apk::ParseApk(blobs[i].bytes()));
+      parse_ms.Observe(
+          std::chrono::duration<double, std::milli>(Clock::now() - start).count());
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == total) {
+        cv.notify_all();
+      }
+    }
+  }
+
+  // Blocks until every claimed index is parsed. Call after Drain(): by then
+  // every index is claimed, and each unfinished one is running on a helper.
+  void AwaitDone() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done == total; });
+  }
+
+  std::vector<ingest::ApkBlob> blobs;
+  const size_t total;
+  std::vector<std::optional<util::Result<apk::ApkFile>>> results;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;
+};
+
+}  // namespace
+
 void FarmPool::ParseStage(PoolBatch& batch) {
-  obs::Histogram& parse_ms = obs::MetricsRegistry::Default().histogram(
-      obs::names::kIngestParseStageMs);
-  batch.apks.reserve(batch.blobs.size());
-  for (size_t i = 0; i < batch.blobs.size(); ++i) {
-    const Clock::time_point start = Clock::now();
-    auto parsed = apk::ParseApk(batch.blobs[i].bytes());
-    parse_ms.Observe(
-        std::chrono::duration<double, std::milli>(Clock::now() - start).count());
+  auto fanout = std::make_shared<ParseFanout>(std::move(batch.blobs));
+  const size_t helpers =
+      fanout->total == 0 ? 0 : std::min(rt_->workers(), fanout->total) - 1;
+  for (size_t h = 0; h < helpers; ++h) {
+    rt_->Post([fanout] { fanout->Drain(); });
+  }
+  fanout->Drain();
+  fanout->AwaitDone();
+
+  batch.apks.reserve(fanout->total);
+  for (size_t i = 0; i < fanout->total; ++i) {
+    util::Result<apk::ApkFile>& parsed = *fanout->results[i];
     if (parsed.ok()) {
       batch.apks.push_back(std::move(*parsed));
       batch.emulated.push_back(i);
@@ -348,9 +396,9 @@ void FarmPool::ParseStage(PoolBatch& batch) {
   }
   batch.parsed = true;
   // The bytes are never needed again (retries reuse the parsed ApkFiles);
-  // release the blob references so the pool stops pinning them.
-  batch.blobs.clear();
-  batch.blobs.shrink_to_fit();
+  // release the blob references now rather than when the last late helper
+  // drops the fan-out. No helper reads `blobs` once every index is done.
+  fanout->blobs.clear();
 }
 
 bool FarmPool::Submit(std::vector<ingest::ApkBlob> blobs,
@@ -407,9 +455,10 @@ void FarmPool::RunFarm(size_t farm_index) {
   for (;;) {
     if (queues_[farm_index].empty()) {
       // Deactivate, then wake a Close() waiting on the drain. The next push
-      // to this farm posts a fresh task.
+      // to this farm posts a fresh task. Notify under mu_: once this task
+      // lets go of mu_, Close() may return and the pool (cv_ with it) may be
+      // destroyed while the runtime, which the pool need not own, lives on.
       worker_active_[farm_index] = 0;
-      lock.unlock();
       cv_.notify_all();
       return;
     }

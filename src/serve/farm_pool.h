@@ -219,9 +219,14 @@ class FarmPool {
   // empty, then deactivates. Runs on a runtime worker.
   void RunFarm(size_t farm_index);
   // Parse stage: runs once per batch on the first dispatch task that dequeues
-  // it, outside mu_. Resolves parse failures via on_parse_error and drops the
-  // blob handles (the pool keeps only the parsed ApkFiles afterwards).
-  static void ParseStage(PoolBatch& batch);
+  // it, outside mu_. The per-blob ParseApk calls fan out over the runtime:
+  // the dispatch task and up to workers-1 helper tasks claim indices from a
+  // shared counter, and the dispatch task waits only for parses already
+  // claimed, so a runtime with every worker busy degrades to a serial parse
+  // instead of a deadlock. Results are then assembled in index order, so
+  // apks/emulated and the on_parse_error calls keep ascending batch order.
+  // Drops the blob handles (the pool keeps only the parsed ApkFiles).
+  void ParseStage(PoolBatch& batch);
   // All *Locked methods require mu_.
   std::optional<size_t> RouteLocked(const PoolBatch& batch);
   void RecordSuccessLocked(size_t farm_index, const emu::BatchResult& result,

@@ -107,11 +107,18 @@ Result<uint64_t> ByteReader::ReadUleb128() {
 }
 
 Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t n) {
+  auto view = ReadSpan(n);
+  if (!view.ok()) {
+    return Err(view.error());
+  }
+  return std::vector<uint8_t>(view->begin(), view->end());
+}
+
+Result<std::span<const uint8_t>> ByteReader::ReadSpan(size_t n) {
   if (remaining() < n) {
     return Err("byte reader underrun (bytes)");
   }
-  std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                           data_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+  const std::span<const uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -49,6 +49,9 @@ class ByteReader {
   Result<uint64_t> ReadU64();
   Result<uint64_t> ReadUleb128();
   Result<std::vector<uint8_t>> ReadBytes(size_t n);
+  // Zero-copy ReadBytes: a view of the next `n` bytes of the reader's buffer,
+  // valid as long as that buffer is.
+  Result<std::span<const uint8_t>> ReadSpan(size_t n);
   Result<std::string> ReadString();
 
   // Absolute seek. Fails when out of bounds.

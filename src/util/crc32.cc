@@ -1,6 +1,8 @@
 #include "util/crc32.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace apichecker::util {
 
@@ -8,21 +10,39 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0xEDB88320u;
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table;
+// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+// lookups advance the state a whole 64-bit word at a time.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (kPolynomial ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
+constexpr Tables kTables = BuildTables();
+
+// Little-endian u32 load from any alignment (memcpy compiles to one mov).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
 }
 
 }  // namespace
@@ -30,9 +50,18 @@ const std::array<uint32_t, 256>& Table() {
 uint32_t Crc32Init() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Table();
-  for (uint8_t byte : data) {
-    state = table[(state ^ byte) & 0xFFu] ^ (state >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ state;
+    const uint32_t hi = LoadLe32(p + 4);
+    state = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+            kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+            kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = kTables[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
   }
   return state;
 }

@@ -21,6 +21,11 @@ inline constexpr size_t kSha1DigestSize = 20;
 // reset and may be reused for a fresh message. The ingest layer feeds this
 // from a chunked reader so an 8 MB APK is hashed while it streams in instead
 // of requiring the full buffer up front.
+//
+// Update() hands every whole run of 64-byte blocks to one compression call:
+// the SHA extensions kernel on x86-64 CPUs that have it (chosen once per
+// process), the portable rounds otherwise. The buffered partial block and
+// the Final() padding always take the portable ProcessBlock.
 class Sha1Hasher {
  public:
   Sha1Hasher() { Reset(); }

@@ -1,5 +1,9 @@
-// Unit tests for src/apk: the ZIP container codec, manifest and dex codecs,
-// APK assembly/parsing, and tamper detection.
+// Unit tests for src/apk: the ZIP container codec (zero-copy entry views and
+// hostile archives), manifest and dex codecs, APK assembly/parsing, and
+// tamper detection.
+
+#include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -26,11 +30,12 @@ TEST(Zip, RoundTripsEntries) {
   auto reader = ZipReader::Parse(archive);
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(reader->entries().size(), 3u);
-  ASSERT_NE(reader->Find("a.txt"), nullptr);
-  EXPECT_EQ(*reader->Find("a.txt"), Bytes("hello"));
+  ASSERT_TRUE(reader->Find("a.txt").has_value());
+  EXPECT_TRUE(std::ranges::equal(*reader->Find("a.txt"), Bytes("hello")));
   EXPECT_EQ(reader->Find("dir/b.bin")->size(), 1000u);
+  ASSERT_TRUE(reader->Find("empty").has_value());  // Present, and empty.
   EXPECT_TRUE(reader->Find("empty")->empty());
-  EXPECT_EQ(reader->Find("missing"), nullptr);
+  EXPECT_FALSE(reader->Find("missing").has_value());
 }
 
 class ZipManyEntries : public ::testing::TestWithParam<size_t> {};
@@ -68,6 +73,76 @@ TEST(Zip, RejectsTruncatedAndGarbage) {
   auto archive = writer.Finish();
   archive.resize(archive.size() - 4);  // Chop the EOCD tail.
   EXPECT_FALSE(ZipReader::Parse(archive).ok());
+}
+
+// --- Zero-copy reader: entries are views into the caller's bytes, and the
+// CRC check still covers every byte of every entry.
+
+// Byte offset of `view` inside `whole`, or SIZE_MAX when it is not inside.
+size_t OffsetWithin(std::span<const uint8_t> whole, std::span<const uint8_t> view) {
+  const auto base = reinterpret_cast<uintptr_t>(whole.data());
+  const auto start = reinterpret_cast<uintptr_t>(view.data());
+  if (start < base || start + view.size() > base + whole.size()) {
+    return SIZE_MAX;
+  }
+  return static_cast<size_t>(start - base);
+}
+
+TEST(ZipZeroCopy, EntrySpansLieInsideTheInput) {
+  ZipWriter writer;
+  writer.AddEntry("a.txt", Bytes("hello"));
+  writer.AddEntry("dir/b.bin", Bytes(std::string(1000, 'x')));
+  writer.AddEntry("empty", {});
+  writer.AddEntry("odd", Bytes("zzz"));
+  const auto archive = writer.Finish();
+  auto reader = ZipReader::Parse(archive);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  for (const ZipEntry& entry : reader->entries()) {
+    EXPECT_NE(OffsetWithin(archive, entry.data), SIZE_MAX) << entry.name;
+  }
+  EXPECT_TRUE(std::ranges::equal(*reader->Find("odd"), Bytes("zzz")));
+}
+
+// A 1003-byte entry: 125 eight-byte strides of the sliced CRC plus a 3-byte
+// tail. A flip in either part must be caught.
+TEST(ZipZeroCopy, CrcFlipCaughtInStrideBodyAndTail) {
+  ZipWriter writer;
+  std::vector<uint8_t> payload(1003);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  writer.AddEntry("body", payload);
+  const auto archive = writer.Finish();
+  auto pristine = ZipReader::Parse(archive);
+  ASSERT_TRUE(pristine.ok()) << pristine.error();
+  const size_t data_offset = OffsetWithin(archive, *pristine->Find("body"));
+  ASSERT_NE(data_offset, SIZE_MAX);
+
+  for (size_t at : {size_t{0}, size_t{500}, size_t{999}, size_t{1000}, size_t{1002}}) {
+    auto flipped = archive;
+    flipped[data_offset + at] ^= 0x01;
+    const auto reader = ZipReader::Parse(flipped);
+    ASSERT_FALSE(reader.ok()) << "flip at payload byte " << at;
+    EXPECT_NE(reader.error().find("CRC mismatch"), std::string::npos);
+  }
+}
+
+TEST(ZipZeroCopy, EntryDataAtOddOffsetParses) {
+  // A 3-character name puts the data at 30 + 3 = 33: an odd, unaligned
+  // start for the 8-byte CRC loads.
+  ZipWriter writer;
+  std::vector<uint8_t> payload(257);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(255 - i);
+  }
+  writer.AddEntry("abc", payload);
+  const auto archive = writer.Finish();
+  auto reader = ZipReader::Parse(archive);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  const auto data = reader->Find("abc");
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(OffsetWithin(archive, *data), 33u);
+  EXPECT_TRUE(std::ranges::equal(*data, payload));
 }
 
 // --- Hostile-input suite: attacker-shaped archives must come back as Result
@@ -362,7 +437,7 @@ TEST(Apk, PadApkGrowsToTargetAndStillParses) {
   EXPECT_EQ(*padded, *again);
   auto zip = ZipReader::Parse(*padded);
   ASSERT_TRUE(zip.ok());
-  EXPECT_NE(zip->Find("assets/padding.bin"), nullptr);
+  EXPECT_TRUE(zip->Find("assets/padding.bin").has_value());
 }
 
 TEST(Apk, PadApkIsANoOpAtOrAboveTarget) {
@@ -417,6 +492,24 @@ TEST_P(ApkMutationRobustness, ParserNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApkMutationRobustness, ::testing::Values(1, 2, 3, 4, 5));
+
+// ContentDigest is stored in every APK's signature entry, so its value is
+// part of the format: these pins catch any change to the fold.
+TEST(Apk, ContentDigestGoldenValues) {
+  EXPECT_EQ(ContentDigest(Bytes("abc")), "a9a0e1e4b5b0544822e0d71c3537c3c2");
+  std::vector<uint8_t> pattern(1000);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  EXPECT_EQ(ContentDigest(pattern), "a7029fe3f95525c5e2f2fb15a67df9f6");
+  EXPECT_EQ(ContentDigest(std::span<const uint8_t>()), "6a09e667f3bcc908bb67ae8584caa73b");
+
+  const std::span<const uint8_t> all(pattern);
+  for (size_t split : {size_t{0}, size_t{1}, size_t{499}, size_t{1000}}) {
+    EXPECT_EQ(ContentDigest({all.first(split), all.subspan(split)}), ContentDigest(all))
+        << "split at " << split;
+  }
+}
 
 TEST(Apk, ContentDigestIsStableAndSensitive) {
   const auto a = ContentDigest(Bytes("abc"));

@@ -3,6 +3,7 @@
 // open/half-open-probe/close transitions, the all-farms-down visible-rejection
 // path (never a hang), and reproducibility of the seeded fault stream.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -17,6 +18,7 @@
 #include "core/study.h"
 #include "emu/farm.h"
 #include "ingest/apk_blob.h"
+#include "rt/runtime.h"
 #include "serve/farm_pool.h"
 #include "serve/service.h"
 #include "serve/serving_model.h"
@@ -399,6 +401,129 @@ TEST(FarmPool, ParseStageSurvivesFailoverWithoutDoubleResolution) {
   const FarmPoolStats stats = pool.stats();
   EXPECT_GT(stats.faults, 0u);  // The dead farm was actually exercised.
   EXPECT_EQ(stats.farms[0].batches_completed, 0u);
+}
+
+// The parse stage fans out across runtime workers, yet everything it hands
+// on keeps batch order: on_parse_error fires in ascending index order, and
+// the emulated indices and verdicts equal those of a serial parse fed to an
+// identical farm. Repeated rounds vary the helper interleaving (the suite
+// also runs under TSan).
+TEST(FarmPool, ParallelParseKeepsBatchOrder) {
+  constexpr size_t kBatch = 16;
+  const std::vector<size_t> corrupt = {1, 6, 7, 13};
+  std::vector<std::vector<uint8_t>> payloads;
+  for (size_t i = 0; i < kBatch; ++i) {
+    if (std::find(corrupt.begin(), corrupt.end(), i) != corrupt.end()) {
+      payloads.push_back({0xc0, 0xff, 0xee, static_cast<uint8_t>(i)});
+    } else {
+      payloads.push_back(MakeApkBytes(900 + i));
+    }
+  }
+  auto snapshot = Snapshot();
+
+  // Serial reference: parse in order, run one batch on a fresh farm 0.
+  std::vector<apk::ApkFile> serial_apks;
+  std::vector<size_t> serial_indices;
+  for (size_t i = 0; i < kBatch; ++i) {
+    auto parsed = apk::ParseApk(payloads[i]);
+    if (parsed.ok()) {
+      serial_apks.push_back(std::move(*parsed));
+      serial_indices.push_back(i);
+    }
+  }
+  emu::DeviceFarm reference_farm(TestUniverse(), SmallFarm());
+  const emu::BatchResult reference =
+      reference_farm.RunBatch(serial_apks, snapshot->tracked);
+  ASSERT_FALSE(reference.farm_fault);
+  // Verdict plus invocation count per member: a swapped pair of reports
+  // would show even where two verdicts coincide.
+  using Outcome = std::pair<bool, uint64_t>;
+  std::vector<Outcome> reference_outcomes;
+  for (const emu::EmulationReport& report : reference.reports) {
+    reference_outcomes.emplace_back(snapshot->checker.Classify(report).malicious,
+                                    report.total_invocations);
+  }
+
+  rt::Runtime runtime(rt::RuntimeOptions{4});
+  for (int round = 0; round < 5; ++round) {
+    // A fresh pool each round, so its farm runs this batch as ordinal 1 just
+    // like the reference farm.
+    FarmPool pool(TestUniverse(), FarmPoolConfig{}, SmallFarm(), &runtime);
+    std::vector<ingest::ApkBlob> blobs;
+    for (const auto& payload : payloads) {
+      blobs.push_back(ingest::ApkBlob::FromBytes(payload));
+    }
+    std::promise<void> done;
+    std::vector<size_t> error_order;
+    std::vector<size_t> emulated_indices;
+    std::vector<Outcome> outcomes;
+    ASSERT_TRUE(pool.Submit(
+        std::move(blobs), snapshot, 0,
+        [&](const emu::BatchResult& result, const std::vector<size_t>& emulated) {
+          emulated_indices = emulated;
+          for (const emu::EmulationReport& report : result.reports) {
+            outcomes.emplace_back(snapshot->checker.Classify(report).malicious,
+                                  report.total_invocations);
+          }
+          done.set_value();
+        },
+        [&](PoolRejectReason, const std::vector<size_t>&) { FAIL() << "rejected"; },
+        [&](size_t index, const std::string&) { error_order.push_back(index); }));
+    ASSERT_EQ(done.get_future().wait_for(milliseconds(10'000)),
+              std::future_status::ready);
+    pool.Close();
+
+    EXPECT_EQ(error_order, corrupt) << "round " << round;
+    EXPECT_EQ(emulated_indices, serial_indices) << "round " << round;
+    EXPECT_EQ(outcomes, reference_outcomes) << "round " << round;
+  }
+  runtime.Shutdown();
+}
+
+// An all-corrupt batch resolves without a farm run even with the parse
+// fanned out, so a fault scripted for the farm's first batch still lands on
+// the first batch that reaches the farm.
+TEST(FarmPool, AllCorruptBatchLeavesFaultOrdinalForTheNextRealBatch) {
+  FarmPoolConfig config;
+  emu::FaultWindow first_only;
+  first_only.farm_id = 0;
+  first_only.from_batch = 1;
+  first_only.to_batch = 1;
+  config.fault_plan.windows = {first_only};
+  rt::Runtime runtime(rt::RuntimeOptions{4});
+  FarmPool pool(TestUniverse(), config, SmallFarm(), &runtime);
+  auto snapshot = Snapshot();
+
+  std::vector<ingest::ApkBlob> garbage;
+  for (uint8_t i = 0; i < 16; ++i) {
+    garbage.push_back(ingest::ApkBlob::FromBytes({0xba, 0xad, i}));
+  }
+  Probe all_corrupt;
+  std::atomic<size_t> parse_errors{0};
+  ASSERT_TRUE(pool.Submit(std::move(garbage), snapshot, 0, all_corrupt.on_complete(),
+                          all_corrupt.on_reject(),
+                          [&](size_t, const std::string&) { ++parse_errors; }));
+  ASSERT_TRUE(all_corrupt.Resolved());
+  EXPECT_TRUE(all_corrupt.future.get());  // Completed, not rejected.
+  EXPECT_EQ(parse_errors.load(), 16u);
+
+  Probe first_real;  // Farm ordinal 1: the scripted fault, one farm to try.
+  ASSERT_TRUE(pool.Submit(MakeBatch(31), snapshot, 0, first_real.on_complete(),
+                          first_real.on_reject()));
+  ASSERT_TRUE(first_real.Resolved());
+  EXPECT_FALSE(first_real.future.get());
+
+  Probe second_real;  // Farm ordinal 2: past the window.
+  ASSERT_TRUE(pool.Submit(MakeBatch(32), snapshot, 0, second_real.on_complete(),
+                          second_real.on_reject()));
+  ASSERT_TRUE(second_real.Resolved());
+  EXPECT_TRUE(second_real.future.get());
+  pool.Close();
+
+  const FarmPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.faults, 1u);
+  EXPECT_EQ(stats.farms[0].batches_completed, 1u);
+  runtime.Shutdown();
 }
 
 TEST(FarmPool, SubmitAfterCloseReturnsFalseWithoutCallbacks) {

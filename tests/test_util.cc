@@ -1,6 +1,8 @@
-// Unit tests for src/util: RNG, CRC-32, byte IO, strings, tables, result,
-// thread pool.
+// Unit tests for src/util: RNG, CRC-32 and SHA-1 kernels, byte IO, strings,
+// tables, result, thread pool.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -12,6 +14,7 @@
 #include "util/bounded_queue.h"
 #include "util/byte_io.h"
 #include "util/sha1.h"
+#include "util/sha1_detail.h"
 #include "util/crc32.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -372,6 +375,162 @@ TEST(Sha1, DistinctInputsDistinctDigests) {
   std::vector<uint8_t> b = {1, 2, 3, 5};
   EXPECT_NE(Sha1Hex(a), Sha1Hex(b));
   EXPECT_EQ(Sha1Hex(a).size(), 2 * kSha1DigestSize);
+}
+
+// --- Kernel cross-checks: the sliced CRC-32 and the block-run SHA-1 against
+// plain byte-at-a-time references kept here, so a kernel bug cannot hide
+// behind a matching bug in a shared helper.
+
+uint32_t ReferenceCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::string ReferenceSha1Hex(std::span<const uint8_t> data) {
+  std::vector<uint8_t> msg(data.begin(), data.end());
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) {
+    msg.push_back(0);
+  }
+  const uint64_t bits = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    msg.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+  uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+  const auto rotl = [](uint32_t v, int n) { return (v << n) | (v >> (32 - n)); };
+  for (size_t off = 0; off < msg.size(); off += 64) {
+    uint32_t w[80];
+    for (int t = 0; t < 16; ++t) {
+      w[t] = 0;
+      for (int k = 0; k < 4; ++k) {
+        w[t] = (w[t] << 8) | msg[off + static_cast<size_t>(4 * t + k)];
+      }
+    }
+    for (int t = 16; t < 80; ++t) {
+      w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+    }
+    uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    for (int t = 0; t < 80; ++t) {
+      const uint32_t f = t < 20   ? (b & c) | (~b & d)
+                         : t < 40 ? b ^ c ^ d
+                         : t < 60 ? (b & c) | (b & d) | (c & d)
+                                  : b ^ c ^ d;
+      const uint32_t k = t < 20   ? 0x5A827999u
+                         : t < 40 ? 0x6ED9EBA1u
+                         : t < 60 ? 0x8F1BBCDCu
+                                  : 0xCA62C1D6u;
+      const uint32_t next = rotl(a, 5) + f + e + k + w[t];
+      e = d;
+      d = c;
+      c = rotl(b, 30);
+      b = a;
+      a = next;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+  }
+  std::array<uint8_t, kSha1DigestSize> digest;
+  for (int i = 0; i < 5; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      digest[static_cast<size_t>(4 * i + k)] = static_cast<uint8_t>(h[i] >> (24 - 8 * k));
+    }
+  }
+  return Sha1DigestHex(digest);
+}
+
+std::vector<uint8_t> PatternBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> out(n);
+  Rng rng(seed);
+  for (auto& byte : out) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  return out;
+}
+
+// Every length 0..1024 at every start offset 0..7: covers each CRC tail
+// length against each load alignment, and each SHA-1 block/partial split.
+TEST(ByteKernels, MatchReferenceAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> bytes = PatternBytes(1024 + 8, 5);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const auto view = std::span<const uint8_t>(bytes).subspan(offset, len);
+      ASSERT_EQ(Crc32(view), ReferenceCrc32(view)) << "len " << len << " offset " << offset;
+      ASSERT_EQ(Sha1Hex(view), ReferenceSha1Hex(view))
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(ByteKernels, StreamingSplitAtEveryBoundaryMatchesOneShot) {
+  const std::vector<uint8_t> bytes = PatternBytes(200, 6);
+  const std::span<const uint8_t> all(bytes);
+  const uint32_t crc = Crc32(all);
+  const std::string sha = Sha1Hex(all);
+  for (size_t i = 0; i <= all.size(); ++i) {
+    for (size_t j = i; j <= all.size(); ++j) {
+      uint32_t state = Crc32Init();
+      Sha1Hasher hasher;
+      for (auto part : {all.first(i), all.subspan(i, j - i), all.subspan(j)}) {
+        state = Crc32Update(state, part);
+        hasher.Update(part);
+      }
+      ASSERT_EQ(Crc32Final(state), crc) << "split " << i << "/" << j;
+      ASSERT_EQ(hasher.FinalHex(), sha) << "split " << i << "/" << j;
+    }
+  }
+}
+
+TEST(ByteKernels, StreamingLargeInputInChunksMatchesOneShot) {
+  const std::vector<uint8_t> bytes = PatternBytes(1 << 20, 7);
+  const std::span<const uint8_t> all(bytes);
+  const std::string reference = ReferenceSha1Hex(all);
+  ASSERT_EQ(Sha1Hex(all), reference);
+  ASSERT_EQ(Crc32(all), ReferenceCrc32(all));
+  // 64 KB chunks keep block alignment; 64 KB + 1 shifts every chunk start
+  // so each Update carries a buffered partial block into the bulk kernel.
+  for (size_t chunk : {size_t{64} << 10, (size_t{64} << 10) + 1}) {
+    uint32_t state = Crc32Init();
+    Sha1Hasher hasher;
+    for (size_t off = 0; off < all.size(); off += chunk) {
+      const auto part = all.subspan(off, std::min(chunk, all.size() - off));
+      state = Crc32Update(state, part);
+      hasher.Update(part);
+    }
+    EXPECT_EQ(Crc32Final(state), ReferenceCrc32(all)) << "chunk " << chunk;
+    EXPECT_EQ(hasher.FinalHex(), reference) << "chunk " << chunk;
+  }
+}
+
+TEST(ByteKernels, AcceleratedSha1CompressMatchesPortable) {
+  const detail::Sha1CompressFn accelerated = detail::Sha1CompressAccelerated();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "no SHA extensions on this CPU; Sha1Hasher uses the portable kernel";
+  }
+  const std::vector<uint8_t> bytes = PatternBytes(64 * 64 + 3, 8);
+  Rng rng(9);
+  for (size_t blocks = 1; blocks <= 64; ++blocks) {
+    for (size_t offset : {size_t{0}, size_t{3}}) {
+      uint32_t fast[5];
+      uint32_t slow[5];
+      for (int i = 0; i < 5; ++i) {
+        fast[i] = slow[i] = static_cast<uint32_t>(rng.Next());
+      }
+      accelerated(fast, bytes.data() + offset, blocks);
+      detail::Sha1CompressPortable(slow, bytes.data() + offset, blocks);
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(fast[i], slow[i]) << blocks << " blocks, offset " << offset;
+      }
+    }
+  }
 }
 
 TEST(BoundedQueue, TryPushRejectsWhenFull) {

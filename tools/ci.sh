@@ -16,19 +16,22 @@
 # then a steady-state thread-count gate (the unified runtime keeps process
 # threads O(cores): the peak thread gauge must stay flat as concurrent upload
 # clients quadruple),
-# then rebuild the concurrency-sensitive tests under AddressSanitizer and —
-# unless skipped —
+# then rebuild the concurrency-sensitive tests and the byte-path kernels
+# under AddressSanitizer, the hostile-byte decoders under
+# UndefinedBehaviorSanitizer, and — unless skipped —
 # run the stress-labelled suites (farm-pool fault injection + the serve and
 # store soak tests) under ThreadSanitizer.
 #
-# Usage: sh tools/ci.sh [--no-asan] [--no-tsan]
+# Usage: sh tools/ci.sh [--no-asan] [--no-ubsan] [--no-tsan]
 set -e
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 ASAN=1
+UBSAN=1
 TSAN=1
 for arg in "$@"; do
   [ "$arg" = "--no-asan" ] && ASAN=0
+  [ "$arg" = "--no-ubsan" ] && UBSAN=0
   [ "$arg" = "--no-tsan" ] && TSAN=0
 done
 
@@ -486,10 +489,11 @@ PYEOF
 echo "thread gate OK (process thread peak flat as upload clients quadruple)"
 
 if [ "$ASAN" = "1" ]; then
-  echo "=== asan: build + run test_rt test_obs test_apk test_ingest test_serve test_store test_farm_pool test_fabric test_gateway ==="
+  echo "=== asan: build + run test_util test_rt test_obs test_apk test_ingest test_serve test_store test_farm_pool test_fabric test_gateway ==="
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DAPICHECKER_SANITIZE=address >/dev/null
-  cmake --build "$ROOT/build-asan" -j --target test_rt test_obs test_apk test_ingest \
+  cmake --build "$ROOT/build-asan" -j --target test_util test_rt test_obs test_apk test_ingest \
     test_serve test_store test_farm_pool test_fabric test_gateway
+  "$ROOT/build-asan/tests/test_util"
   "$ROOT/build-asan/tests/test_rt"
   "$ROOT/build-asan/tests/test_obs"
   "$ROOT/build-asan/tests/test_apk"
@@ -499,6 +503,25 @@ if [ "$ASAN" = "1" ]; then
   "$ROOT/build-asan/tests/test_farm_pool"
   "$ROOT/build-asan/tests/test_fabric" --gtest_filter=-FabricSoak.*
   "$ROOT/build-asan/tests/test_gateway" --gtest_filter=-GatewaySoak.*
+fi
+
+if [ "$UBSAN" = "1" ]; then
+  # The byte-path decoders hand out span views into hostile bytes and the
+  # CRC/SHA-1 kernels do unaligned wide loads: undefined behaviour there would
+  # not crash under ASan, so these suites also run with UBSan, halting on the
+  # first report.
+  echo "=== ubsan: build + run test_util test_apk test_ingest test_fabric test_store test_farm_pool ==="
+  cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DAPICHECKER_SANITIZE=undefined >/dev/null
+  cmake --build "$ROOT/build-ubsan" -j --target test_util test_apk test_ingest \
+    test_fabric test_store test_farm_pool
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  "$ROOT/build-ubsan/tests/test_util"
+  "$ROOT/build-ubsan/tests/test_apk"
+  "$ROOT/build-ubsan/tests/test_ingest"
+  "$ROOT/build-ubsan/tests/test_fabric" --gtest_filter=-FabricSoak.*
+  "$ROOT/build-ubsan/tests/test_store"
+  "$ROOT/build-ubsan/tests/test_farm_pool"
+  unset UBSAN_OPTIONS
 fi
 
 if [ "$TSAN" = "1" ]; then
