@@ -68,7 +68,7 @@ StudyRecord StudyRecorder::BuildRecord(const apk::ApkFile& apk,
 }
 
 StudyDataset RunStudy(const android::ApiUniverse& universe, synth::CorpusGenerator& generator,
-                      const StudyConfig& config, util::ThreadPool* pool) {
+                      const StudyConfig& config) {
   obs::TraceSpan span("core.run_study");
   StudyDataset study;
   study.records.resize(config.num_apps);
@@ -77,35 +77,19 @@ StudyDataset RunStudy(const android::ApiUniverse& universe, synth::CorpusGenerat
   const emu::TrackedApiSet track_all = emu::TrackedApiSet::All(universe.num_apis());
   const StudyRecorder recorder(universe, config.engine);
 
-  util::ThreadPool local_pool(1);
-  util::ThreadPool& workers = pool == nullptr ? local_pool : *pool;
-
-  size_t produced = 0;
-  std::vector<synth::AppProfile> batch;
-  while (produced < config.num_apps) {
-    const size_t batch_size = std::min(config.batch_size, config.num_apps - produced);
-    batch.clear();
-    batch.reserve(batch_size);
-    for (size_t i = 0; i < batch_size; ++i) {
-      batch.push_back(generator.Next());  // Generator is stateful: serial.
+  for (StudyRecord& slot : study.records) {
+    const synth::AppProfile profile = generator.Next();
+    // Full APK round trip: build bytes, parse them back, emulate.
+    const std::vector<uint8_t> apk_bytes = synth::BuildApkBytes(profile, universe);
+    auto apk = apk::ParseApk(apk_bytes);
+    if (!apk.ok()) {
+      APICHECKER_SLOG(Error, "study.bad_apk").With("error", apk.error());
+      continue;
     }
-    const size_t base = produced;
-    workers.ParallelFor(0, batch_size, [&](size_t i) {
-      const synth::AppProfile& profile = batch[i];
-      // Full APK round trip: build bytes, parse them back, emulate.
-      const std::vector<uint8_t> apk_bytes = synth::BuildApkBytes(profile, universe);
-      auto apk = apk::ParseApk(apk_bytes);
-      if (!apk.ok()) {
-        APICHECKER_SLOG(Error, "study.bad_apk").With("error", apk.error());
-        return;
-      }
-      const emu::EmulationReport report = engine.Run(*apk, track_all);
-      StudyRecord record = recorder.BuildRecord(*apk, report);
-      record.label = profile.malicious ? 1 : 0;
-      record.is_update = profile.is_update ? 1 : 0;
-      study.records[base + i] = std::move(record);
-    });
-    produced += batch_size;
+    const emu::EmulationReport report = engine.Run(*apk, track_all);
+    slot = recorder.BuildRecord(*apk, report);
+    slot.label = profile.malicious ? 1 : 0;
+    slot.is_update = profile.is_update ? 1 : 0;
   }
   return study;
 }

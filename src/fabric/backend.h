@@ -68,11 +68,12 @@ class FarmBackend {
   virtual double last_rpc_ms() const { return 0.0; }
 };
 
-// In-process execution on an owned DeviceFarm.
+// In-process execution on an owned DeviceFarm; `runtime` as in DeviceFarm.
 class LocalFarmBackend : public FarmBackend {
  public:
-  LocalFarmBackend(const android::ApiUniverse& universe, emu::FarmConfig config)
-      : farm_(universe, std::move(config)) {}
+  LocalFarmBackend(const android::ApiUniverse& universe, emu::FarmConfig config,
+                   rt::Runtime* runtime = nullptr)
+      : farm_(universe, std::move(config), runtime) {}
 
   emu::BatchResult ExecuteBatch(std::span<const apk::ApkFile> apks, uint32_t model_version,
                                 const core::ApiChecker& checker,

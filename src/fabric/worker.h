@@ -103,6 +103,8 @@ class FarmWorker {
 
   const android::ApiUniverse& universe_;
   FarmWorkerConfig config_;
+  // Emulates on a runtime of its own: a batch fan-out on runtime_ would fill
+  // it and delay heartbeat pings.
   emu::DeviceFarm farm_;
   uint64_t universe_checksum_ = 0;
 

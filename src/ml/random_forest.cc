@@ -6,8 +6,8 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
+#include "rt/runtime.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::ml {
 
@@ -33,17 +33,18 @@ void RandomForest::Train(const Dataset& data) {
   obs::ScopedTimer forest_timer(metrics.histogram(obs::names::kMlForestTrainMs));
   obs::Histogram& tree_train_ms = metrics.histogram(obs::names::kMlTreeTrainMs);
 
-  // Trees train in parallel. Rng::Fork is a pure function of the seed lineage
-  // and the stream id, so every tree's randomness is fixed up front and the
-  // result is identical to the historical serial loop. Each tree records Gini
-  // importance into its own buffer; buffers are folded in tree order below so
-  // the floating-point accumulation order stays deterministic too.
+  // Trees train in parallel on a default-size runtime. Rng::Fork is a pure
+  // function of the seed lineage and the stream id, so every tree's
+  // randomness is fixed up front and the result is identical to a serial
+  // loop. Each tree records Gini importance into its own buffer; buffers are
+  // folded in tree order below so the floating-point accumulation order stays
+  // deterministic too.
   const util::Rng rng(config_.seed);
   trees_.resize(config_.num_trees);
   std::vector<std::vector<double>> tree_importance(
       config_.num_trees, std::vector<double>(data.num_features, 0.0));
-  util::ThreadPool pool(config_.train_threads);
-  pool.ParallelFor(0, config_.num_trees, [&](size_t t) {
+  rt::Runtime runtime;
+  runtime.ParallelFor(config_.num_trees, [&](size_t t) {
     obs::ScopedTimer tree_timer(tree_train_ms);
     // Bootstrap bag: n draws with replacement.
     util::Rng bag_rng = rng.Fork(t * 2 + 1);

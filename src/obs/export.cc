@@ -451,12 +451,6 @@ util::Result<ParsedDump> ParseJsonDump(std::string_view json) {
 }
 
 PeriodicReporter::PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
-                                   MetricsRegistry& registry)
-    : interval_(interval), flush_(std::move(flush)), registry_(registry) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicReporter::PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
                                    TimerHost host, MetricsRegistry& registry)
     : interval_(interval),
       flush_(std::move(flush)),
@@ -497,8 +491,9 @@ void PeriodicReporter::Tick() {
 void PeriodicReporter::Stop() {
   // Fully serialized: every Stop() caller returns only after the one final
   // flush has run. Without this, a second concurrent caller would observe
-  // stopping_ == true and return while the first was still joining — the
-  // "service stopped between ticks" snapshot it relied on not yet written.
+  // stopping_ == true and return while the first was still waiting out a
+  // racing tick — the "service stopped between ticks" snapshot it relied on
+  // not yet written.
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   if (stopped_) {
     return;
@@ -506,33 +501,14 @@ void PeriodicReporter::Stop() {
   {
     std::unique_lock<std::mutex> lock(mu_);
     stopping_ = true;
-    if (host_) {
-      // A successful cancel retires the pending tick; a lost race means the
-      // tick is queued or mid-flush, so wait for it to observe stopping_.
-      if (tick_armed_ && cancel_tick_ && cancel_tick_()) tick_armed_ = false;
-      cv_.wait(lock, [this] { return !tick_armed_; });
-    }
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
+    // A successful cancel retires the pending tick; a lost race means the
+    // tick is queued or mid-flush, so wait for it to observe stopping_.
+    if (tick_armed_ && cancel_tick_ && cancel_tick_()) tick_armed_ = false;
+    cv_.wait(lock, [this] { return !tick_armed_; });
   }
   flush_(registry_);  // Final flush so short runs never lose their tail.
   flushes_.fetch_add(1, std::memory_order_relaxed);
   stopped_ = true;
-}
-
-void PeriodicReporter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    if (cv_.wait_for(lock, interval_, [this] { return stopping_; })) {
-      return;
-    }
-    lock.unlock();
-    flush_(registry_);
-    flushes_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-  }
 }
 
 }  // namespace apichecker::obs

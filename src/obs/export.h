@@ -1,17 +1,18 @@
 // Metric exporters: Prometheus text exposition and a JSON dump (plus a
 // parser for the dump, so telemetry consumers — and the round-trip tests —
 // can read it back without a JSON library), and a periodic reporter that
-// flushes snapshots from a background thread.
+// flushes snapshots on a caller-provided timer host.
 
 #ifndef APICHECKER_OBS_EXPORT_H_
 #define APICHECKER_OBS_EXPORT_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,11 +54,9 @@ util::Result<ParsedDump> ParseJsonDump(std::string_view json);
 // Invokes `flush` every `interval` (and once on Stop). Typical use:
 // periodically dump ToJson to a sidecar file during long runs.
 //
-// Two hosting modes. The thread constructor owns a background thread (the
-// historical shape — still right for tools with no runtime). The timer-host
-// constructor instead self-reschedules one-shot timers on a caller-provided
-// scheduler, so a process with a unified rt::Runtime spends zero threads on
-// reporting; the host is a plain std::function so obs never depends on rt.
+// Each tick re-arms a one-shot timer on a caller-provided scheduler, so a
+// process with a unified rt::Runtime spends zero threads on reporting; the
+// host is a plain std::function so obs never depends on rt.
 class PeriodicReporter {
  public:
   using FlushFn = std::function<void(const MetricsRegistry&)>;
@@ -69,9 +68,6 @@ class PeriodicReporter {
   using TimerHost =
       std::function<CancelFn(std::chrono::milliseconds delay, std::function<void()> tick)>;
 
-  PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush,
-                   MetricsRegistry& registry = MetricsRegistry::Default());
-  // Timer-host mode: no thread; each tick re-arms the next via `host`.
   PeriodicReporter(std::chrono::milliseconds interval, FlushFn flush, TimerHost host,
                    MetricsRegistry& registry = MetricsRegistry::Default());
   ~PeriodicReporter();
@@ -79,31 +75,30 @@ class PeriodicReporter {
   PeriodicReporter(const PeriodicReporter&) = delete;
   PeriodicReporter& operator=(const PeriodicReporter&) = delete;
 
-  // Idempotent and fully serialized: the first caller joins the thread and
-  // runs one final flush; any concurrent caller blocks until that flush has
-  // completed, so no caller ever returns before the last snapshot is out.
+  // Idempotent and fully serialized: the first caller retires the pending
+  // tick and runs one final flush; any concurrent caller blocks until that
+  // flush has completed, so no caller ever returns before the last snapshot
+  // is out.
   void Stop();
 
   uint64_t flush_count() const { return flushes_.load(std::memory_order_relaxed); }
 
  private:
-  void Loop();
   void Tick();
   void ArmLocked();  // Requires mu_.
 
   std::chrono::milliseconds interval_;
   FlushFn flush_;
   MetricsRegistry& registry_;
-  TimerHost host_;  // Empty in thread mode.
+  TimerHost host_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // Signals tick_armed_ going false.
   bool stopping_ = false;
-  bool tick_armed_ = false;  // Timer-host mode: a tick is scheduled or running.
+  bool tick_armed_ = false;  // A tick is scheduled or running.
   CancelFn cancel_tick_;     // Guarded by mu_.
   std::mutex stop_mu_;   // Serializes Stop(); held across the final flush.
   bool stopped_ = false; // Guarded by stop_mu_.
   std::atomic<uint64_t> flushes_{0};
-  std::thread thread_;
 };
 
 }  // namespace apichecker::obs

@@ -218,6 +218,9 @@ void Runtime::Post(Task task) {
     workers_[target]->queue.push_back(std::move(task));
   }
   QueueDepth().Set(static_cast<double>(pending_.load(std::memory_order_relaxed)));
+  // Notify under wake_mu_: a worker tests pending_ and blocks atomically
+  // under it, so the wake cannot fall between its test and its block.
+  std::lock_guard<std::mutex> lock(wake_mu_);
   wake_cv_.notify_one();
 }
 
@@ -264,9 +267,10 @@ void Runtime::WorkerLoop(size_t index) {
         pending_.load(std::memory_order_acquire) == 0) {
       break;
     }
-    // Bounded wait: a task can land between the failed TryRunOne and this
-    // wait, and its notify may race past us — the timeout bounds the miss.
-    wake_cv_.wait_for(lock, std::chrono::milliseconds(50), [this] {
+    // A task that lands after the failed TryRunOne has already bumped
+    // pending_ (seen by the predicate) or notifies under wake_mu_ once this
+    // wait has released it, so the wake is never lost.
+    wake_cv_.wait(lock, [this] {
       return stopping_.load(std::memory_order_acquire) ||
              pending_.load(std::memory_order_acquire) > 0;
     });
@@ -274,7 +278,52 @@ void Runtime::WorkerLoop(size_t index) {
   tls_runtime = nullptr;
 }
 
-void Runtime::NotifyWorkers() { wake_cv_.notify_all(); }
+void Runtime::NotifyWorkers() {
+  std::lock_guard<std::mutex> lock(wake_mu_);
+  wake_cv_.notify_all();
+}
+
+// ---------------------------------------------------------------------------
+// ParallelFor
+
+namespace {
+
+// One ParallelFor call's shared state. Helpers hold it through a shared_ptr,
+// so one dequeued after the call returned still finds a live counter.
+struct ForState {
+  ForState(size_t n, const std::function<void(size_t)>& fn) : total(n), body(&fn) {}
+
+  // Claims and runs indices until none are left.
+  void Drain() {
+    for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+      (*body)(i);
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == total) cv.notify_all();
+    }
+  }
+
+  const size_t total;
+  const std::function<void(size_t)>* body;  // Dangles once the call returns.
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t done = 0;
+};
+
+}  // namespace
+
+void Runtime::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+  if (n == 0) return;
+  auto state = std::make_shared<ForState>(n, body);
+  const size_t helpers = std::min(workers_.size(), n) - 1;
+  for (size_t h = 0; h < helpers; ++h) {
+    Post([state] { state->Drain(); });
+  }
+  state->Drain();
+  // Every index is claimed by now; each unfinished one runs on a helper.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&] { return state->done == n; });
+}
 
 // ---------------------------------------------------------------------------
 // Timer wheel

@@ -10,7 +10,9 @@
 //   - a TimerWheel: one lazily-started timer thread with coalesced deadlines
 //     and shared-state cancellation tokens behind PostAt()/PostAfter(),
 //   - an IoPoller: one lazily-started epoll thread watching nonblocking (or
-//     readiness-signalled blocking) fabric sockets behind PostFd().
+//     readiness-signalled blocking) fabric sockets behind PostFd(),
+//   - ParallelFor: the one data-parallel fan-out (APK parse, per-app
+//     emulation, forest training), run by the caller plus posted helpers.
 //
 // Timer and fd callbacks never run on the timer/poller threads — expiry and
 // readiness both post the callback to the executor, so the wheel and the
@@ -152,6 +154,16 @@ class Runtime {
   CancelToken PostFd(int fd, Task task);
 
   std::shared_ptr<Strand> MakeStrand();
+
+  // Runs body(i) for every i in [0, n) and returns once all have finished.
+  // The caller runs indices itself while up to workers()-1 posted helpers
+  // claim the rest from a shared counter; the caller then waits only for
+  // indices a running helper has already claimed. A call from inside a task
+  // therefore completes on the caller alone when every other worker is
+  // blocked, and nested calls are safe. A helper that runs after the call
+  // returned finds no index left and never touches `body`. `body` must be
+  // safe to call concurrently for distinct i and must not throw.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   // Cancels pending timers and watches, drains the run queues, joins every
   // thread. Idempotent; safe to call with tasks still posting tasks.

@@ -1,7 +1,6 @@
 #include "serve/farm_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -50,7 +49,7 @@ std::string BreakerOpenSeriesName(uint32_t farm_id, const char* reason) {
 
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     const android::ApiUniverse& universe, const FarmPoolConfig& config,
-    const emu::FarmConfig& farm_template) {
+    const emu::FarmConfig& farm_template, rt::Runtime* runtime) {
   const size_t num_farms = std::max<size_t>(1, config.num_farms);
   std::vector<std::unique_ptr<fabric::FarmBackend>> backends;
   backends.reserve(num_farms);
@@ -59,14 +58,16 @@ std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     farm_config.farm_id = static_cast<uint32_t>(i);
     farm_config.fault_plan = config.fault_plan;
     backends.push_back(
-        std::make_unique<fabric::LocalFarmBackend>(universe, std::move(farm_config)));
+        std::make_unique<fabric::LocalFarmBackend>(universe, std::move(farm_config),
+                                                   runtime));
   }
   return backends;
 }
 
 FarmPool::FarmPool(const android::ApiUniverse& universe, FarmPoolConfig config,
                    const emu::FarmConfig& farm_template, rt::Runtime* runtime)
-    : FarmPool(config, MakeLocalFarmBackends(universe, config, farm_template),
+    : FarmPool(config,
+               MakeLocalFarmBackends(universe, config, farm_template, runtime),
                runtime) {}
 
 FarmPool::FarmPool(FarmPoolConfig config,
@@ -331,62 +332,21 @@ std::vector<size_t> FarmPool::PoolBatch::AffectedIndices() const {
   return all;
 }
 
-namespace {
-
-// Shared state of one batch's parse fan-out. Helper tasks hold it through a
-// shared_ptr: one dequeued after the batch moved on finds every index
-// claimed and returns without touching blobs or results.
-struct ParseFanout {
-  explicit ParseFanout(std::vector<ingest::ApkBlob> b)
-      : blobs(std::move(b)), total(blobs.size()), results(total) {}
-
-  // Claims and parses indices until none are left.
-  void Drain() {
-    obs::Histogram& parse_ms = obs::MetricsRegistry::Default().histogram(
-        obs::names::kIngestParseStageMs);
-    for (size_t i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
-      const Clock::time_point start = Clock::now();
-      results[i].emplace(apk::ParseApk(blobs[i].bytes()));
-      parse_ms.Observe(
-          std::chrono::duration<double, std::milli>(Clock::now() - start).count());
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == total) {
-        cv.notify_all();
-      }
-    }
-  }
-
-  // Blocks until every claimed index is parsed. Call after Drain(): by then
-  // every index is claimed, and each unfinished one is running on a helper.
-  void AwaitDone() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == total; });
-  }
-
-  std::vector<ingest::ApkBlob> blobs;
-  const size_t total;
-  std::vector<std::optional<util::Result<apk::ApkFile>>> results;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-};
-
-}  // namespace
-
 void FarmPool::ParseStage(PoolBatch& batch) {
-  auto fanout = std::make_shared<ParseFanout>(std::move(batch.blobs));
-  const size_t helpers =
-      fanout->total == 0 ? 0 : std::min(rt_->workers(), fanout->total) - 1;
-  for (size_t h = 0; h < helpers; ++h) {
-    rt_->Post([fanout] { fanout->Drain(); });
-  }
-  fanout->Drain();
-  fanout->AwaitDone();
+  const size_t total = batch.blobs.size();
+  std::vector<std::optional<util::Result<apk::ApkFile>>> results(total);
+  obs::Histogram& parse_ms =
+      obs::MetricsRegistry::Default().histogram(obs::names::kIngestParseStageMs);
+  rt_->ParallelFor(total, [&](size_t i) {
+    const Clock::time_point start = Clock::now();
+    results[i].emplace(apk::ParseApk(batch.blobs[i].bytes()));
+    parse_ms.Observe(
+        std::chrono::duration<double, std::milli>(Clock::now() - start).count());
+  });
 
-  batch.apks.reserve(fanout->total);
-  for (size_t i = 0; i < fanout->total; ++i) {
-    util::Result<apk::ApkFile>& parsed = *fanout->results[i];
+  batch.apks.reserve(total);
+  for (size_t i = 0; i < total; ++i) {
+    util::Result<apk::ApkFile>& parsed = *results[i];
     if (parsed.ok()) {
       batch.apks.push_back(std::move(*parsed));
       batch.emulated.push_back(i);
@@ -395,10 +355,8 @@ void FarmPool::ParseStage(PoolBatch& batch) {
     }
   }
   batch.parsed = true;
-  // The bytes are never needed again (retries reuse the parsed ApkFiles);
-  // release the blob references now rather than when the last late helper
-  // drops the fan-out. No helper reads `blobs` once every index is done.
-  fanout->blobs.clear();
+  // The bytes are never needed again (retries reuse the parsed ApkFiles).
+  batch.blobs.clear();
 }
 
 bool FarmPool::Submit(std::vector<ingest::ApkBlob> blobs,

@@ -106,10 +106,11 @@ std::string BreakerOpenSeriesName(uint32_t farm_id, const char* reason);
 // The in-process backend set the universe-based FarmPool constructor uses:
 // num_farms LocalFarmBackends with the pool's fault plan attached. Exposed so
 // callers composing mixed fleets (VettingService with fabric endpoints) reuse
-// the same normalization.
+// the same normalization. Each farm fans its emulation out on `runtime`
+// (null: each farm owns a default-size runtime).
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeLocalFarmBackends(
     const android::ApiUniverse& universe, const FarmPoolConfig& config,
-    const emu::FarmConfig& farm_template);
+    const emu::FarmConfig& farm_template, rt::Runtime* runtime);
 
 class FarmPool {
  public:
@@ -134,8 +135,9 @@ class FarmPool {
 
   // `farm_template` is cloned per farm with farm_id = 0..num_farms-1 and the
   // pool's fault plan attached; every farm runs in-process (LocalFarmBackend).
-  // `runtime` hosts the dispatch tasks; null makes the pool own a private
-  // runtime sized num_farms + 1 (standalone/test construction).
+  // `runtime` hosts the dispatch tasks and the farms' emulation fan-out; null
+  // makes the pool own a private runtime sized num_farms + 1 for dispatch and
+  // each farm own a default-size one (standalone/test construction).
   FarmPool(const android::ApiUniverse& universe, FarmPoolConfig config,
            const emu::FarmConfig& farm_template, rt::Runtime* runtime = nullptr);
 
@@ -219,13 +221,11 @@ class FarmPool {
   // empty, then deactivates. Runs on a runtime worker.
   void RunFarm(size_t farm_index);
   // Parse stage: runs once per batch on the first dispatch task that dequeues
-  // it, outside mu_. The per-blob ParseApk calls fan out over the runtime:
-  // the dispatch task and up to workers-1 helper tasks claim indices from a
-  // shared counter, and the dispatch task waits only for parses already
-  // claimed, so a runtime with every worker busy degrades to a serial parse
-  // instead of a deadlock. Results are then assembled in index order, so
-  // apks/emulated and the on_parse_error calls keep ascending batch order.
-  // Drops the blob handles (the pool keeps only the parsed ApkFiles).
+  // it, outside mu_. The per-blob ParseApk calls fan out through
+  // rt::Runtime::ParallelFor, so a runtime with every worker busy degrades to
+  // a serial parse instead of a deadlock. Results are then assembled in index
+  // order, so apks/emulated and the on_parse_error calls keep ascending batch
+  // order. Drops the blob handles (the pool keeps only the parsed ApkFiles).
   void ParseStage(PoolBatch& batch);
   // All *Locked methods require mu_.
   std::optional<size_t> RouteLocked(const PoolBatch& batch);

@@ -38,14 +38,15 @@ std::unique_ptr<store::VerdictStore> OpenStoreOrNull(const ServiceConfig& config
   return std::move(*opened);
 }
 
-// Local farms by default; one RemoteFarmClient per fabric endpoint when the
-// service is fronting a multi-process fleet. The remote clients share the
-// service's runtime for their heartbeat timers and reconnect tasks.
+// Local farms by default, emulating on the service's runtime; one
+// RemoteFarmClient per fabric endpoint when the service is fronting a
+// multi-process fleet. The remote clients share the service's runtime for
+// their heartbeat timers and reconnect tasks.
 std::vector<std::unique_ptr<fabric::FarmBackend>> MakeBackends(
     const android::ApiUniverse& universe, const ServiceConfig& config,
     rt::Runtime* runtime) {
   if (config.fabric_endpoints.empty()) {
-    return MakeLocalFarmBackends(universe, config.pool, config.farm);
+    return MakeLocalFarmBackends(universe, config.pool, config.farm, runtime);
   }
   std::vector<std::unique_ptr<fabric::FarmBackend>> backends;
   backends.reserve(config.fabric_endpoints.size());

@@ -50,7 +50,6 @@ AdmissionOutcome SubmissionShards::TryPush(PendingSubmission pending) {
     ++pushes_;
     listener = push_listener_;
   }
-  signal_cv_.notify_one();
   if (listener) listener();
   return AdmissionOutcome::kAccepted;
 }
@@ -101,49 +100,6 @@ std::optional<PendingSubmission> SubmissionShards::TryPopAny() {
   return std::nullopt;
 }
 
-std::optional<PendingSubmission> SubmissionShards::PopAnyFor(
-    std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  for (;;) {
-    // Read the push counter BEFORE sweeping: a push that lands mid-sweep
-    // changes the counter, so the wait below wakes instead of stalling.
-    uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lock(signal_mu_);
-      seen = pushes_;
-    }
-    if (auto pending = TryPopAny()) {
-      return pending;
-    }
-    std::unique_lock<std::mutex> lock(signal_mu_);
-    if (closed_ && pushes_ == seen) {
-      return std::nullopt;  // Closed and the sweep found nothing: drained.
-    }
-    if (!signal_cv_.wait_until(lock, deadline,
-                               [&] { return pushes_ != seen || closed_; })) {
-      return std::nullopt;  // Timed out.
-    }
-  }
-}
-
-std::optional<PendingSubmission> SubmissionShards::PopAnyBlocking() {
-  for (;;) {
-    uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lock(signal_mu_);
-      seen = pushes_;
-    }
-    if (auto pending = TryPopAny()) {
-      return pending;
-    }
-    std::unique_lock<std::mutex> lock(signal_mu_);
-    if (closed_ && pushes_ == seen) {
-      return std::nullopt;  // Closed and the sweep found nothing: drained.
-    }
-    signal_cv_.wait(lock, [&] { return pushes_ != seen || closed_; });
-  }
-}
-
 void SubmissionShards::Close() {
   std::function<void()> listener;
   {
@@ -156,7 +112,6 @@ void SubmissionShards::Close() {
       lane->Close();
     }
   }
-  signal_cv_.notify_all();
   // After the lanes are closed, so a listener-triggered sweep observes the
   // final state and can flush its partial batch immediately.
   if (listener) listener();

@@ -7,8 +7,9 @@
 // memory, explicit errors, never OOM. Each class has its own capacity, so a
 // bulk storm can never occupy the slots interactive traffic needs.
 //
-// The consumer side is a cross-shard, cross-class timed pop the batch
-// scheduler uses to assemble batches. Classes are served by smooth weighted
+// The consumer side is a cross-shard, cross-class non-blocking pop the batch
+// scheduler's push-listener pump uses to assemble batches. Classes are
+// served by smooth weighted
 // round-robin: each class accrues credit equal to its weight per pop, the
 // richest class is swept first, and the winner pays the total weight — giving
 // interactive its configured share under contention while staying work-
@@ -18,8 +19,6 @@
 #define APICHECKER_SERVE_SUBMISSION_SHARDS_H_
 
 #include <array>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,21 +50,11 @@ class SubmissionShards {
   AdmissionOutcome TryPush(PendingSubmission pending);
 
   // Pops from any shard (weighted-fair across classes, round-robin sweep from
-  // a rotating cursor within a class, so no shard starves). Blocks up to
-  // `timeout` when everything is empty; nullopt on timeout or when closed and
-  // fully drained.
-  std::optional<PendingSubmission> PopAnyFor(std::chrono::milliseconds timeout);
-
-  // Untimed variant: sleeps on the push/close condition variable until a
-  // submission arrives or the shards close. Nullopt only when closed and
-  // drained — this is what lets an idle consumer wake on the next push
-  // immediately instead of at some poll granularity.
-  std::optional<PendingSubmission> PopAnyBlocking();
-
-  // Non-blocking variant of PopAnyFor.
+  // a rotating cursor within a class, so no shard starves). Never blocks;
+  // nullopt when every lane is empty.
   std::optional<PendingSubmission> TryPopAny();
 
-  // Idempotent: fails further pushes, wakes consumers, lets pops drain.
+  // Idempotent: fails further pushes, notifies the listener, lets pops drain.
   void Close();
   bool closed() const;
 
@@ -104,10 +93,9 @@ class SubmissionShards {
   ClassWeights weights_{};
   uint32_t total_weight_ = 0;
 
-  // Consumer wakeup: pushes bump `pushes_` so a sweeping consumer can sleep
-  // without missing a submission that lands mid-sweep.
+  // Pushes bump `pushes_` so a sweeping consumer can tell whether a
+  // submission landed mid-sweep.
   mutable std::mutex signal_mu_;
-  std::condition_variable signal_cv_;
   uint64_t pushes_ = 0;
   bool closed_ = false;
   std::function<void()> push_listener_;  // Guarded by signal_mu_.

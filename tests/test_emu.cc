@@ -313,7 +313,6 @@ TEST(Farm, BatchCoversAllAppsAndMakespanBounds) {
   }
   FarmConfig config;
   config.num_emulators = 4;
-  config.worker_threads = 2;
   DeviceFarm farm(TestUniverse(), config);
   const BatchResult result =
       farm.RunBatch(apks, TrackedApiSet::None(TestUniverse().num_apis()));

@@ -92,7 +92,6 @@ std::vector<apk::ApkFile> MakeApks(uint64_t seed) {
 emu::FarmConfig SmallFarm() {
   emu::FarmConfig farm;
   farm.num_emulators = 2;
-  farm.worker_threads = 1;
   return farm;
 }
 
@@ -604,7 +603,6 @@ TEST(VettingServiceFaults, FailoverKeepsVerdictsFlowing) {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 2;
-  config.farm.worker_threads = 1;
   config.scheduler.batch_size = 2;
   config.scheduler.max_linger = milliseconds(5);
   config.pool.num_farms = 2;
@@ -662,7 +660,6 @@ TEST(VettingServiceFaults, AllFarmsDownResolvesRejectedUnhealthy) {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 2;
-  config.farm.worker_threads = 1;
   config.scheduler.batch_size = 2;
   config.scheduler.max_linger = milliseconds(5);
   config.pool.num_farms = 2;

@@ -85,7 +85,6 @@ serve::ServiceConfig SmallServiceConfig() {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = milliseconds(5);
   return config;

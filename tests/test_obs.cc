@@ -22,7 +22,6 @@
 #include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "rt/runtime.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::obs {
 namespace {
@@ -101,8 +100,8 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing) {
   Counter& counter = registry.counter("apichecker_test_events_total");
   Histogram& hist = registry.histogram("apichecker_test_latency_ms");
   constexpr size_t kIters = 20'000;
-  util::ThreadPool pool(8);
-  pool.ParallelFor(0, kIters, [&](size_t i) {
+  rt::Runtime rt(rt::RuntimeOptions{8});
+  rt.ParallelFor(kIters, [&](size_t i) {
     counter.Increment();
     hist.Observe(static_cast<double>(i % 100));
   });
@@ -266,62 +265,6 @@ TEST(Export, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseJsonDump("{\"counters\": [1,2]").ok());
 }
 
-TEST(Export, PeriodicReporterFlushesAtLeastOnce) {
-  MetricsRegistry registry;
-  std::atomic<uint64_t> seen{0};
-  {
-    PeriodicReporter reporter(std::chrono::milliseconds(5),
-                              [&](const MetricsRegistry&) { seen.fetch_add(1); },
-                              registry);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    reporter.Stop();
-    EXPECT_GE(reporter.flush_count(), 1u);
-  }
-  EXPECT_GE(seen.load(), 1u);
-}
-
-TEST(Export, PeriodicReporterStopFlushesFinalInterval) {
-  // An interval far longer than the test: the loop never fires on its own, so
-  // the only flush is the one Stop() owes us. Counter increments made right
-  // before Stop() must be visible to that flush — the last partial interval
-  // is never dropped.
-  MetricsRegistry registry;
-  std::atomic<uint64_t> last_seen{0};
-  PeriodicReporter reporter(
-      std::chrono::hours(24),
-      [&](const MetricsRegistry&) {
-        last_seen.store(registry.counter("apichecker_test_final_total").value());
-      },
-      registry);
-  registry.counter("apichecker_test_final_total").Increment(7);
-  reporter.Stop();
-  EXPECT_EQ(reporter.flush_count(), 1u);
-  EXPECT_EQ(last_seen.load(), 7u);
-}
-
-TEST(Export, PeriodicReporterConcurrentStopNeverSkipsTheFinalFlush) {
-  // Two threads race Stop(). The loser must BLOCK until the winner's final
-  // flush has completed — neither caller may return while the last snapshot
-  // is still unwritten.
-  for (int round = 0; round < 20; ++round) {
-    MetricsRegistry registry;
-    std::atomic<uint64_t> flushes{0};
-    PeriodicReporter reporter(
-        std::chrono::hours(24),
-        [&](const MetricsRegistry&) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          flushes.fetch_add(1);
-        },
-        registry);
-    std::thread a([&] { reporter.Stop(); });
-    std::thread b([&] { reporter.Stop(); });
-    a.join();
-    b.join();
-    // Both callers returned => the single final flush must have run.
-    EXPECT_EQ(flushes.load(), 1u);
-  }
-}
-
 // Adapts an rt::Runtime into the reporter's TimerHost shape (what a unified-
 // runtime process passes so reporting costs zero threads).
 PeriodicReporter::TimerHost RuntimeHost(rt::Runtime& rt) {
@@ -351,7 +294,7 @@ TEST(Export, TimerHostReporterFlushesAndReschedules) {
 TEST(Export, TimerHostReporterStopOwesTheFinalFlush) {
   // Interval far longer than the test: only Stop()'s flush runs, and it must
   // see increments made right before Stop() — the last partial interval is
-  // never dropped, exactly as in thread mode.
+  // never dropped.
   rt::Runtime rt(rt::RuntimeOptions{2});
   MetricsRegistry registry;
   std::atomic<uint64_t> last_seen{0};
@@ -684,8 +627,8 @@ TEST(ObsSoak, ConcurrentObserveWhileSnapshottingQuantiles) {
       }
     }
   });
-  util::ThreadPool pool(8);
-  pool.ParallelFor(0, 50'000, [&](size_t i) {
+  rt::Runtime rt(rt::RuntimeOptions{8});
+  rt.ParallelFor(50'000, [&](size_t i) {
     h.Observe(static_cast<double>(i % 101));
   });
   stop.store(true, std::memory_order_release);
@@ -696,9 +639,9 @@ TEST(ObsSoak, ConcurrentObserveWhileSnapshottingQuantiles) {
 TEST(ObsSoak, ConcurrentTraceLifecyclesLoseNoSpans) {
   TraceCollector collector;
   constexpr size_t kTraces = 4'000;
-  util::ThreadPool pool(8);
+  rt::Runtime rt(rt::RuntimeOptions{8});
   std::atomic<uint64_t> completed{0};
-  pool.ParallelFor(0, kTraces, [&](size_t i) {
+  rt.ParallelFor(kTraces, [&](size_t i) {
     const uint64_t id = collector.StartTrace();
     StageSpan span;
     span.stage = stages::kSubmit;

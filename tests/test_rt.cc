@@ -4,11 +4,16 @@
 // uploads), coalesced deadlines firing in order (EDF linger flushes), timers
 // posted from within timer callbacks (heartbeat ticks rescheduling
 // themselves), and executor drain with timers still pending (service
-// teardown). RtSoak carries the stress label for the TSan tier.
+// teardown). The ParallelFor cases pin the fan-out contract the parse stage,
+// the device farm and forest training rely on: exactly-once coverage, no
+// deadlock from inside a task, nesting, and late helpers that never touch a
+// returned call's body. RtSoak carries the stress label for the TSan tier.
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
@@ -235,6 +240,84 @@ TEST(Runtime, WorkStealingKeepsAllWorkersBusy) {
     });
   }
   EXPECT_TRUE(WaitFor([&] { return ran.load() == 64; }));
+}
+
+TEST(Runtime, ParallelForRunsEveryIndexExactlyOnce) {
+  Runtime rt(RuntimeOptions{.workers = 4});
+  for (const size_t n : {size_t{0}, size_t{1}, rt.workers() - 1, size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    rt.ParallelFor(n, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Occupies `count` workers with tasks that spin until `release` is set, and
+// returns once all of them are running.
+void BlockWorkers(Runtime& rt, size_t count, std::atomic<bool>& release) {
+  std::atomic<size_t> blocked{0};
+  for (size_t i = 0; i < count; ++i) {
+    rt.Post([&release, &blocked] {
+      blocked.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(milliseconds(1));
+    });
+  }
+  ASSERT_TRUE(WaitFor([&] { return blocked.load() == count; }));
+}
+
+TEST(Runtime, ParallelForInsideATaskCompletesOnTheCallerAlone) {
+  // Every other worker is blocked, so the helpers the call posts can never
+  // start: the calling task must run every index itself, not deadlock.
+  Runtime rt(RuntimeOptions{.workers = 4});
+  std::atomic<bool> release{false};
+  BlockWorkers(rt, rt.workers() - 1, release);
+  std::promise<bool> all_on_caller;
+  rt.Post([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(100);
+    rt.ParallelFor(ran_on.size(),
+                   [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    bool same = true;
+    for (const std::thread::id& id : ran_on) same = same && id == caller;
+    all_on_caller.set_value(same);
+  });
+  std::future<bool> done = all_on_caller.get_future();
+  const bool finished =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.store(true);  // Unblock first, so a failure cannot hang teardown.
+  ASSERT_TRUE(finished);
+  EXPECT_TRUE(done.get());
+}
+
+TEST(Runtime, NestedParallelForCompletes) {
+  Runtime rt(RuntimeOptions{.workers = 4});
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  rt.ParallelFor(kOuter, [&](size_t i) {
+    rt.ParallelFor(kInner, [&](size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(Runtime, LateHelperNeverTouchesTheBody) {
+  // With every worker blocked the external caller runs all indices and
+  // returns while its helpers are still queued. The body is then freed, so a
+  // helper that dereferenced it once released would be a use-after-free
+  // (caught under ASan).
+  Runtime rt(RuntimeOptions{.workers = 4});
+  std::atomic<bool> release{false};
+  BlockWorkers(rt, rt.workers(), release);
+  std::atomic<int> ran{0};
+  auto body = std::make_unique<std::function<void(size_t)>>(
+      [&ran](size_t) { ran.fetch_add(1); });
+  rt.ParallelFor(64, *body);
+  EXPECT_EQ(ran.load(), 64);
+  body.reset();
+  release.store(true);
+  rt.Shutdown();  // Drains the late helpers.
+  EXPECT_EQ(ran.load(), 64);
 }
 
 // Stress shape for the TSan tier: timers, strands, fd readiness, and plain

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,7 +103,6 @@ ServiceConfig SmallConfig() {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(5);
   return config;
@@ -189,6 +190,41 @@ TEST(VettingService, AdmissionRejectsWhenQueuesFull) {
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.accepted, stats.resolved());
+}
+
+// Live threads of this process: tid -> name (/proc/self/task/*/comm).
+std::map<std::string, std::string> LiveThreads() {
+  std::map<std::string, std::string> threads;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(entry.path() / "comm");
+    std::string name;
+    std::getline(comm, name);
+    threads[entry.path().filename().string()] = name;
+  }
+  return threads;
+}
+
+TEST(VettingService, LocalFarmsAddNoThreadsBeyondTheRuntime) {
+  // In-process farms emulate on the service's runtime: two of them must not
+  // bring worker threads of their own.
+  ServiceConfig config = SmallConfig();
+  config.pool.num_farms = 2;
+  core::ApiChecker model = TrainedChecker();  // Training threads come and go here.
+  const std::map<std::string, std::string> before = LiveThreads();
+  VettingService service(TestUniverse(), config, std::move(model));
+  auto accepted = service.Submit(MakeSubmission(MakeApkBytes(71)));
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted->get().status, VetStatus::kOk);
+
+  size_t added = 0;
+  for (const auto& [tid, name] : LiveThreads()) {
+    if (before.count(tid) != 0) continue;
+    ++added;
+    EXPECT_EQ(name.rfind("rt-", 0), 0u) << "thread " << tid << " is " << name;
+  }
+  // The executor's workers plus its lazily started timer and poller threads.
+  EXPECT_LE(added, service.runtime().workers() + 2);
+  service.Shutdown();
 }
 
 TEST(VettingService, DeadlineExpiryReturnsTimeoutOutcome) {
@@ -427,7 +463,6 @@ TEST(VettingServiceSoak, ChurnWithFlappingFarmHotSwapsAndDupDigests) {
   config.shard_capacity = 512;
   config.cache_capacity = 4096;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(2);
   config.pool.num_farms = 3;
@@ -1047,7 +1082,6 @@ void RunStorm(uint64_t seed) {
   config.shard_capacity = 2 + rng.NextBounded(12);
   config.cache_capacity = 64;
   config.farm.num_emulators = 2;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 1 + rng.NextBounded(6);
   config.scheduler.max_linger =
       std::chrono::milliseconds(rng.NextBounded(5));
@@ -1169,7 +1203,6 @@ TEST(VettingServiceSoak, MixedClassStormShedsSpillsAndLosesNothing) {
   config.shard_capacity = 24;
   config.cache_capacity = 4096;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(2);
   config.pool.num_farms = 3;

@@ -648,7 +648,6 @@ ServiceConfig StoreServiceConfig(const std::string& dir) {
   config.num_shards = 2;
   config.shard_capacity = 64;
   config.farm.num_emulators = 4;
-  config.farm.worker_threads = 2;
   config.scheduler.batch_size = 4;
   config.scheduler.max_linger = std::chrono::milliseconds(5);
   config.store.dir = dir;

@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, CRC-32 and SHA-1 kernels, byte IO, strings,
-// tables, result, thread pool.
+// tables, result.
 
 #include <algorithm>
 #include <array>
@@ -20,7 +20,6 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace apichecker::util {
 namespace {
@@ -311,49 +310,6 @@ TEST(Table, RendersAlignedAndCsv) {
   EXPECT_NE(text.str().find("| alpha"), std::string::npos);
   EXPECT_NE(csv.str().find("\"22,2\""), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, TrySubmitRejectsAboveMaxPending) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  // Occupy the single worker so further tasks stay pending.
-  ASSERT_TRUE(pool.TrySubmit(
-      [&] {
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      },
-      /*max_pending=*/4));
-  int accepted = 0;
-  while (pool.TrySubmit([] {}, /*max_pending=*/4)) {
-    ++accepted;
-    ASSERT_LT(accepted, 100);  // Must hit the cap, not loop forever.
-  }
-  EXPECT_EQ(accepted, 3);  // Blocker + 3 queued == max_pending of 4.
-  release.store(true);
-  pool.Wait();
-  // Capacity freed up again after the drain.
-  EXPECT_TRUE(pool.TrySubmit([] {}, /*max_pending=*/4));
-  pool.Wait();
 }
 
 TEST(Sha1, KnownVectors) {

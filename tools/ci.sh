@@ -20,7 +20,8 @@
 # under AddressSanitizer, the hostile-byte decoders under
 # UndefinedBehaviorSanitizer, and — unless skipped —
 # run the stress-labelled suites (farm-pool fault injection + the serve and
-# store soak tests) under ThreadSanitizer.
+# store soak tests) and the rt::Runtime::ParallelFor callers (device farm,
+# forest training) under ThreadSanitizer.
 #
 # Usage: sh tools/ci.sh [--no-asan] [--no-ubsan] [--no-tsan]
 set -e
@@ -510,12 +511,13 @@ if [ "$UBSAN" = "1" ]; then
   # CRC/SHA-1 kernels do unaligned wide loads: undefined behaviour there would
   # not crash under ASan, so these suites also run with UBSan, halting on the
   # first report.
-  echo "=== ubsan: build + run test_util test_apk test_ingest test_fabric test_store test_farm_pool ==="
+  echo "=== ubsan: build + run test_util test_apk test_ingest test_fabric test_store test_farm_pool test_emu ==="
   cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DAPICHECKER_SANITIZE=undefined >/dev/null
   cmake --build "$ROOT/build-ubsan" -j --target test_util test_apk test_ingest \
-    test_fabric test_store test_farm_pool
+    test_fabric test_store test_farm_pool test_emu
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   "$ROOT/build-ubsan/tests/test_util"
+  "$ROOT/build-ubsan/tests/test_emu"
   "$ROOT/build-ubsan/tests/test_apk"
   "$ROOT/build-ubsan/tests/test_ingest"
   "$ROOT/build-ubsan/tests/test_fabric" --gtest_filter=-FabricSoak.*
@@ -528,10 +530,14 @@ if [ "$TSAN" = "1" ]; then
   echo "=== tsan: serve races + stress-labelled suites ==="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DAPICHECKER_SANITIZE=thread >/dev/null
   cmake --build "$ROOT/build-tsan" -j --target test_rt test_serve test_store \
-    test_farm_pool test_ingest test_obs test_fabric test_gateway
+    test_farm_pool test_ingest test_obs test_fabric test_gateway test_emu test_ml
   "$ROOT/build-tsan/tests/test_rt"
   "$ROOT/build-tsan/tests/test_serve"
   "$ROOT/build-tsan/tests/test_obs"
+  # Both fan out on rt::Runtime::ParallelFor: per-app emulation, per-tree
+  # forest training.
+  "$ROOT/build-tsan/tests/test_emu"
+  "$ROOT/build-tsan/tests/test_ml" --gtest_filter='RandomForest.*'
   # Stress label = the farm-pool fault suite, the multi-producer serve/store
   # soaks, the concurrent blob-release soak, the fabric connect/disconnect
   # churn soak, and the gateway hostile-client soak (tests/CMakeLists.txt tags
