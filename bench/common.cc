@@ -6,7 +6,6 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "stats/cdf.h"
 #include "stats/descriptive.h"
 
@@ -23,10 +22,9 @@ std::string* MetricsOutPath() {
 // trajectories pick up the pipeline stage latencies without per-bench code.
 void EmitMetricsAtExit() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  const std::string json = obs::ToJson(registry, &obs::TraceLog::Default());
+  const std::string json = obs::ToJson(registry);
   if (!MetricsOutPath()->empty()) {
-    auto written = obs::WriteMetricsFile(*MetricsOutPath(), registry,
-                                         &obs::TraceLog::Default());
+    auto written = obs::WriteMetricsFile(*MetricsOutPath(), registry);
     if (!written.ok()) {
       std::fprintf(stderr, "metrics dump failed: %s\n", written.error().c_str());
     }

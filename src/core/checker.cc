@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace apichecker::core {
@@ -14,17 +13,14 @@ ApiChecker::ApiChecker(const android::ApiUniverse& universe, ApiCheckerConfig co
 
 void ApiChecker::TrainFromStudy(const StudyDataset& study) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-  obs::TraceSpan span("core.train");
   obs::ScopedTimer timer(metrics.histogram(obs::names::kCoreTrainMs));
   {
-    obs::TraceSpan selection_span("core.select_key_apis");
     const std::vector<ApiCorrelation> correlations =
         ComputeApiCorrelations(study, universe_.num_apis());
     selection_ = SelectKeyApis(correlations, universe_, study.size(), config_.selection);
     schema_ = FeatureSchema(selection_.key_apis, universe_, config_.features);
   }
 
-  obs::TraceSpan fit_span("core.fit_forest");
   const ml::Dataset data = BuildDataset(study, schema_, universe_);
   model_ = std::make_unique<ml::RandomForest>(config_.forest);
   model_->set_threshold(config_.threshold);

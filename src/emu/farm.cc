@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace apichecker::emu {
@@ -41,7 +40,7 @@ std::string DeviceFarm::FaultFor(uint64_t ordinal) {
 
 BatchResult DeviceFarm::RunBatch(std::span<const apk::ApkFile> apks,
                                  const TrackedApiSet& tracked) {
-  obs::TraceSpan span("emu.run_batch");
+  obs::ScopedTimer timer(obs::MetricsRegistry::Default(), obs::names::kEmuRunBatchMs);
   BatchResult result;
 
   if (config_.fault_plan.enabled()) {

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "rt/runtime.h"
 #include "util/rng.h"
 

@@ -13,26 +13,6 @@
 
 namespace apichecker::obs {
 
-namespace {
-
-std::string EscapeForJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
 BenchStage StageFromHistogram(const MetricsRegistry& registry,
                               const std::string& name) {
   const HistogramSnapshot snap =
@@ -47,8 +27,8 @@ BenchStage StageFromHistogram(const MetricsRegistry& registry,
 std::string BenchReportToJson(const BenchReport& report) {
   std::string out = "{\n";
   out += util::StrFormat("  \"schema\": \"%s\",\n", kBenchServeSchema);
-  out += "  \"bench\": \"" + EscapeForJson(report.bench) + "\",\n";
-  out += "  \"git_rev\": \"" + EscapeForJson(report.git_rev) + "\",\n";
+  out += "  \"bench\": \"" + util::JsonEscape(report.bench) + "\",\n";
+  out += "  \"git_rev\": \"" + util::JsonEscape(report.git_rev) + "\",\n";
   out += util::StrFormat("  \"submissions\": %llu,\n",
                          static_cast<unsigned long long>(report.submissions));
   out += util::StrFormat("  \"wall_s\": %.3f,\n", report.wall_s);
@@ -111,7 +91,7 @@ std::string BenchReportToJson(const BenchReport& report) {
   const char* sep = "";
   for (const auto& [name, stage] : report.stages) {
     out += sep;
-    out += "\n    \"" + EscapeForJson(name) + "\": ";
+    out += "\n    \"" + util::JsonEscape(name) + "\": ";
     out += util::StrFormat("{\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"count\": %llu}",
                            stage.p50, stage.p99,
                            static_cast<unsigned long long>(stage.count));

@@ -24,34 +24,6 @@ std::string JsonNumber(double value) {
   return util::StrFormat("%.17g", value);
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendHistogramJson(std::string& out, const HistogramSnapshot& hist) {
   const bool empty = hist.count == 0;
   out += "{\"count\": " + util::StrFormat("%llu", static_cast<unsigned long long>(hist.count));
@@ -87,38 +59,68 @@ void AppendHistogramJson(std::string& out, const HistogramSnapshot& hist) {
 }  // namespace
 
 std::string ToPrometheusText(const MetricsRegistry& registry) {
-  std::string out;
-  for (const MetricSnapshot& metric : registry.Snapshot()) {
-    if (!metric.help.empty()) {
-      out += "# HELP " + metric.name + " " + metric.help + "\n";
+  // The registry keys each series by a flat name that may carry a label set
+  // (family{k="v"}). HELP/TYPE belong to the bare family, once, so group the
+  // series by family explicitly: the name sort can put family_x between
+  // family and family{...}.
+  struct Series {
+    std::string labels;  // Between the braces; empty when unlabelled.
+    const MetricSnapshot* metric;
+  };
+  const std::vector<MetricSnapshot> snapshot = registry.Snapshot();
+  std::map<std::string, std::vector<Series>> families;
+  for (const MetricSnapshot& metric : snapshot) {
+    const std::string& name = metric.name;
+    const size_t brace = name.find('{');
+    if (brace == std::string::npos || name.back() != '}') {
+      families[name].push_back({"", &metric});
+    } else {
+      families[name.substr(0, brace)].push_back(
+          {name.substr(brace + 1, name.size() - brace - 2), &metric});
     }
-    out += util::StrFormat("# TYPE %s %s\n", metric.name.c_str(), MetricKindName(metric.kind));
-    switch (metric.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += metric.name + " " + JsonNumber(metric.value) + "\n";
+  }
+
+  std::string out;
+  for (const auto& [family, series] : families) {
+    for (const Series& s : series) {
+      if (!s.metric->help.empty()) {
+        out += "# HELP " + family + " " + s.metric->help + "\n";
         break;
-      case MetricKind::kHistogram: {
-        const HistogramSnapshot& hist = metric.histogram;
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < hist.bucket_counts.size(); ++b) {
-          cumulative += hist.bucket_counts[b];
-          const std::string le =
-              b < hist.bounds.size() ? JsonNumber(hist.bounds[b]) : std::string("+Inf");
-          out += util::StrFormat("%s_bucket{le=\"%s\"} %llu\n", metric.name.c_str(),
-                                 le.c_str(), static_cast<unsigned long long>(cumulative));
+      }
+    }
+    out += util::StrFormat("# TYPE %s %s\n", family.c_str(),
+                           MetricKindName(series.front().metric->kind));
+    for (const auto& [labels, metric] : series) {
+      const std::string braced = labels.empty() ? "" : "{" + labels + "}";
+      switch (metric->kind) {
+        case MetricKind::kCounter:
+        case MetricKind::kGauge:
+          out += family + braced + " " + JsonNumber(metric->value) + "\n";
+          break;
+        case MetricKind::kHistogram: {
+          const HistogramSnapshot& hist = metric->histogram;
+          const std::string le_prefix = labels.empty() ? "" : labels + ",";
+          uint64_t cumulative = 0;
+          for (size_t b = 0; b < hist.bucket_counts.size(); ++b) {
+            cumulative += hist.bucket_counts[b];
+            const std::string le =
+                b < hist.bounds.size() ? JsonNumber(hist.bounds[b]) : std::string("+Inf");
+            out += util::StrFormat("%s_bucket{%sle=\"%s\"} %llu\n", family.c_str(),
+                                   le_prefix.c_str(), le.c_str(),
+                                   static_cast<unsigned long long>(cumulative));
+          }
+          out += family + "_sum" + braced + " " + JsonNumber(hist.sum) + "\n";
+          out += util::StrFormat("%s_count%s %llu\n", family.c_str(), braced.c_str(),
+                                 static_cast<unsigned long long>(hist.count));
+          break;
         }
-        out += metric.name + "_sum " + JsonNumber(hist.sum) + "\n";
-        out += util::StrFormat("%s_count %llu\n", metric.name.c_str(),
-                               static_cast<unsigned long long>(hist.count));
-        break;
       }
     }
   }
   return out;
 }
 
-std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace) {
+std::string ToJson(const MetricsRegistry& registry) {
   std::string counters = "{";
   std::string gauges = "{";
   std::string histograms = "{";
@@ -129,17 +131,17 @@ std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace) {
     switch (metric.kind) {
       case MetricKind::kCounter:
         counters += counter_sep;
-        counters += "\"" + JsonEscape(metric.name) + "\": " + JsonNumber(metric.value);
+        counters += "\"" + util::JsonEscape(metric.name) + "\": " + JsonNumber(metric.value);
         counter_sep = ", ";
         break;
       case MetricKind::kGauge:
         gauges += gauge_sep;
-        gauges += "\"" + JsonEscape(metric.name) + "\": " + JsonNumber(metric.value);
+        gauges += "\"" + util::JsonEscape(metric.name) + "\": " + JsonNumber(metric.value);
         gauge_sep = ", ";
         break;
       case MetricKind::kHistogram:
         histograms += hist_sep;
-        histograms += "\"" + JsonEscape(metric.name) + "\": ";
+        histograms += "\"" + util::JsonEscape(metric.name) + "\": ";
         AppendHistogramJson(histograms, metric.histogram);
         hist_sep = ", ";
         break;
@@ -152,36 +154,18 @@ std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace) {
   std::string out = "{\n  \"schema\": \"apichecker-metrics-v1\",\n";
   out += "  \"counters\": " + counters + ",\n";
   out += "  \"gauges\": " + gauges + ",\n";
-  out += "  \"histograms\": " + histograms;
-  if (trace != nullptr) {
-    out += ",\n  \"spans\": [";
-    const char* sep = "";
-    for (const SpanRecord& span : trace->Snapshot()) {
-      out += sep;
-      out += "\n    {\"name\": \"" + JsonEscape(span.name) + "\"";
-      out += ", \"parent\": \"" + JsonEscape(span.parent) + "\"";
-      out += util::StrFormat(", \"depth\": %u", span.depth);
-      out += ", \"start_ms\": " + JsonNumber(span.start_ms);
-      out += ", \"duration_ms\": " + JsonNumber(span.duration_ms) + "}";
-      sep = ",";
-    }
-    out += "\n  ],\n";
-    out += util::StrFormat("  \"spans_dropped\": %llu",
-                           static_cast<unsigned long long>(trace->dropped()));
-  }
-  out += "\n}\n";
+  out += "  \"histograms\": " + histograms + "\n}\n";
   return out;
 }
 
 util::Result<bool> WriteMetricsFile(const std::string& path,
-                                    const MetricsRegistry& registry,
-                                    const TraceLog* trace) {
+                                    const MetricsRegistry& registry) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     return util::Err("cannot open metrics file: " + path);
   }
   out << (util::EndsWith(path, ".prom") ? ToPrometheusText(registry)
-                                        : ToJson(registry, trace));
+                                        : ToJson(registry));
   out.flush();
   if (!out) {
     return util::Err("write failed: " + path);
@@ -443,9 +427,6 @@ util::Result<ParsedDump> ParseJsonDump(std::string_view json) {
       }
       dump.histograms[name] = std::move(hist);
     }
-  }
-  if (const JsonValue* spans = root->Find("spans")) {
-    dump.num_spans = spans->array.size();
   }
   return dump;
 }

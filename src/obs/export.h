@@ -15,7 +15,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/result.h"
 
 namespace apichecker::obs {
@@ -23,15 +22,13 @@ namespace apichecker::obs {
 // Prometheus text exposition format (# HELP / # TYPE / samples).
 std::string ToPrometheusText(const MetricsRegistry& registry);
 
-// JSON dump: {"counters": {...}, "gauges": {...}, "histograms": {...},
-// "spans": [...]}. Histograms carry count/sum/min/max, cumulative buckets,
-// and p50/p90/p95/p99. Pass a TraceLog to include finished spans.
-std::string ToJson(const MetricsRegistry& registry, const TraceLog* trace = nullptr);
+// JSON dump: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+// Histograms carry count/sum/min/max, cumulative buckets, and p50/p90/p95/p99.
+std::string ToJson(const MetricsRegistry& registry);
 
 // Writes ToJson (or Prometheus text when `path` ends in ".prom") to `path`.
 util::Result<bool> WriteMetricsFile(const std::string& path,
-                                    const MetricsRegistry& registry,
-                                    const TraceLog* trace = nullptr);
+                                    const MetricsRegistry& registry);
 
 // Parsed form of the JSON dump, for round-tripping and telemetry consumers.
 struct ParsedHistogram {
@@ -46,7 +43,6 @@ struct ParsedDump {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, ParsedHistogram> histograms;
-  size_t num_spans = 0;
 };
 
 util::Result<ParsedDump> ParseJsonDump(std::string_view json);

@@ -269,6 +269,40 @@ size_t MetricsRegistry::size() const {
   return total;
 }
 
+ScopedTimer::ScopedTimer(Histogram& histogram, Unit unit)
+    : histogram_(&histogram), unit_(unit), start_(std::chrono::steady_clock::now()) {}
+
+ScopedTimer::ScopedTimer(MetricsRegistry& registry, std::string_view name, Unit unit)
+    : ScopedTimer(registry.histogram(name), unit) {}
+
+ScopedTimer::~ScopedTimer() {
+  if (!stopped_) {
+    Stop();
+  }
+}
+
+double ScopedTimer::Stop() {
+  if (stopped_) {
+    return 0.0;
+  }
+  stopped_ = true;
+  double value =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start_)
+          .count();
+  switch (unit_) {
+    case Unit::kSeconds:
+      value /= 1e3;
+      break;
+    case Unit::kMillis:
+      break;
+    case Unit::kMicros:
+      value *= 1e3;
+      break;
+  }
+  histogram_->Observe(value);
+  return value;
+}
+
 void RegisterStandardMetrics(MetricsRegistry& registry) {
   using namespace names;
   // Simulated emulation minutes per app: the paper's per-app vetting times
@@ -293,6 +327,8 @@ void RegisterStandardMetrics(MetricsRegistry& registry) {
   registry.gauge(kEmuFarmLastMakespanMinutes, "makespan of the most recent batch");
   registry.counter(kEmuFarmInjectedFaultsTotal,
                    "farm-level faults raised by the fault-injection plan");
+  registry.histogram(kEmuRunBatchMs, Histogram::ExponentialBounds(0.01, 2.0, 20),
+                     "DeviceFarm::RunBatch wall-clock per batch, ms");
 
   registry.histogram(kCoreTrainMs, {}, "APICHECKER end-to-end training time, ms");
   registry.histogram(kCoreClassifyLatencyUs,
@@ -374,8 +410,8 @@ void RegisterStandardMetrics(MetricsRegistry& registry) {
   registry.histogram(kServeTracedE2eMs, Histogram::ExponentialBounds(0.5, 2.0, 18),
                      "traced: admission -> resolution end-to-end, ms");
 
-  registry.counter(kObsTraceSpansTotal, "stage spans recorded by the trace collector");
-  registry.counter(kObsTraceSpansDroppedTotal,
+  registry.counter(kObsStageSpansTotal, "stage spans recorded by the trace collector");
+  registry.counter(kObsStageSpansDroppedTotal,
                    "spans dropped (unknown or already-sealed trace)");
   registry.counter(kObsTracesStartedTotal, "traces opened by sampling decisions");
   registry.counter(kObsTracesCompletedTotal, "traces sealed with a resolution");

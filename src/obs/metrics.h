@@ -14,6 +14,7 @@
 #define APICHECKER_OBS_METRICS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -159,6 +160,28 @@ class MetricsRegistry {
                       std::vector<double> bounds);
 
   std::unique_ptr<Shard[]> shards_;
+};
+
+// RAII timer recording elapsed time into a histogram on destruction.
+class ScopedTimer {
+ public:
+  enum class Unit : uint8_t { kSeconds, kMillis, kMicros };
+
+  explicit ScopedTimer(Histogram& histogram, Unit unit = Unit::kMillis);
+  ScopedTimer(MetricsRegistry& registry, std::string_view name, Unit unit = Unit::kMillis);
+  ~ScopedTimer();
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+  // Stops now, records once, and returns the elapsed value in `unit`.
+  double Stop();
+
+ private:
+  Histogram* histogram_;
+  Unit unit_;
+  bool stopped_ = false;
+  std::chrono::steady_clock::time_point start_;
 };
 
 // Registers the canonical pipeline metrics (obs/names.h) with zero values so

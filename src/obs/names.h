@@ -27,6 +27,7 @@ inline constexpr char kEmuFarmLastMakespanMinutes[] =
     "apichecker_emu_farm_last_makespan_minutes";
 inline constexpr char kEmuFarmInjectedFaultsTotal[] =
     "apichecker_emu_farm_injected_faults_total";
+inline constexpr char kEmuRunBatchMs[] = "apichecker_emu_run_batch_ms";
 
 // core layer — APICHECKER train/classify.
 inline constexpr char kCoreTrainMs[] = "apichecker_core_train_ms";
@@ -121,8 +122,8 @@ inline constexpr char kServeStageResolveMs[] =
 inline constexpr char kServeTracedE2eMs[] = "apichecker_serve_traced_e2e_ms";
 
 // obs layer — the trace collector's own accounting.
-inline constexpr char kObsTraceSpansTotal[] = "apichecker_obs_trace_spans_total";
-inline constexpr char kObsTraceSpansDroppedTotal[] =
+inline constexpr char kObsStageSpansTotal[] = "apichecker_obs_trace_spans_total";
+inline constexpr char kObsStageSpansDroppedTotal[] =
     "apichecker_obs_trace_spans_dropped_total";
 inline constexpr char kObsTracesStartedTotal[] =
     "apichecker_obs_traces_started_total";

@@ -13,38 +13,10 @@ namespace apichecker::obs {
 
 namespace {
 
-std::string JsonEscapeString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendSpanJson(std::string& out, const StageSpan& span) {
-  out += "{\"stage\": \"" + JsonEscapeString(span.stage) + "\"";
+  out += "{\"stage\": \"" + util::JsonEscape(span.stage) + "\"";
   if (!span.label.empty()) {
-    out += ", \"label\": \"" + JsonEscapeString(span.label) + "\"";
+    out += ", \"label\": \"" + util::JsonEscape(span.label) + "\"";
   }
   out += util::StrFormat(", \"start_ms\": %.3f, \"duration_ms\": %.3f",
                          span.start_ms, span.duration_ms);
@@ -124,12 +96,12 @@ void TraceCollector::Record(uint64_t trace_id, StageSpan span) {
   if (it == stripe.open.end()) {
     // Dropped at birth, or a span racing in after Complete sealed the trace.
     spans_dropped_.fetch_add(1, std::memory_order_relaxed);
-    MetricsRegistry::Default().counter(names::kObsTraceSpansDroppedTotal).Increment();
+    MetricsRegistry::Default().counter(names::kObsStageSpansDroppedTotal).Increment();
     return;
   }
   it->second.spans.push_back(std::move(span));
   spans_recorded_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry::Default().counter(names::kObsTraceSpansTotal).Increment();
+  MetricsRegistry::Default().counter(names::kObsStageSpansTotal).Increment();
 }
 
 void TraceCollector::Complete(uint64_t trace_id, std::string status,
@@ -241,7 +213,7 @@ std::string TracesToChromeJson(const std::vector<Trace>& traces) {
     ++tid;
     for (const StageSpan& span : trace.spans) {
       out += sep;
-      out += "\n  {\"name\": \"" + JsonEscapeString(span.stage) + "\"";
+      out += "\n  {\"name\": \"" + util::JsonEscape(span.stage) + "\"";
       out += ", \"cat\": \"serve\", \"ph\": \"X\", \"pid\": 1";
       out += util::StrFormat(", \"tid\": %llu",
                              static_cast<unsigned long long>(tid));
@@ -250,7 +222,7 @@ std::string TracesToChromeJson(const std::vector<Trace>& traces) {
       out += util::StrFormat(", \"args\": {\"trace_id\": %llu",
                              static_cast<unsigned long long>(trace.trace_id));
       if (!span.label.empty()) {
-        out += ", \"label\": \"" + JsonEscapeString(span.label) + "\"";
+        out += ", \"label\": \"" + util::JsonEscape(span.label) + "\"";
       }
       out += util::StrFormat(", \"queue_depth\": %llu",
                              static_cast<unsigned long long>(span.queue_depth));
@@ -270,7 +242,7 @@ std::string TracesToJsonLines(const std::vector<Trace>& traces) {
   for (const Trace& trace : traces) {
     out += util::StrFormat("{\"trace_id\": %llu",
                            static_cast<unsigned long long>(trace.trace_id));
-    out += ", \"status\": \"" + JsonEscapeString(trace.status) + "\"";
+    out += ", \"status\": \"" + util::JsonEscape(trace.status) + "\"";
     out += trace.from_cache ? ", \"from_cache\": true" : ", \"from_cache\": false";
     out += util::StrFormat(", \"start_ms\": %.3f, \"total_ms\": %.3f",
                            trace.start_ms, trace.total_ms);
@@ -278,7 +250,7 @@ std::string TracesToJsonLines(const std::vector<Trace>& traces) {
     const char* sep = "";
     for (const StageMs& entry : trace.breakdown) {
       out += sep;
-      out += "\"" + JsonEscapeString(entry.stage) + "\": ";
+      out += "\"" + util::JsonEscape(entry.stage) + "\": ";
       out += util::StrFormat("%.3f", entry.ms);
       sep = ", ";
     }

@@ -13,7 +13,6 @@
 #include "market/review_pipeline.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "util/logging.h"
 
@@ -222,7 +221,6 @@ void BatchScheduler::Flush() {
 }
 
 void BatchScheduler::ExecuteBatch(std::vector<PendingSubmission> batch) {
-  obs::TraceSpan span("serve.batch");
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
   metrics.counter(obs::names::kServeBatchesTotal).Increment();
   metrics.histogram(obs::names::kServeBatchSize)

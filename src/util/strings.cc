@@ -54,6 +54,34 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
 }
 
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::string FormatDouble(double value, int digits) {
   return StrFormat("%.*f", digits, value);
 }

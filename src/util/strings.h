@@ -21,6 +21,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
 
+// Escapes `s` for a JSON string literal (without the quotes): ", \, \n and
+// \t get their short escapes, other control bytes become \u00XX, and every
+// other byte (UTF-8 included) passes through.
+std::string JsonEscape(std::string_view s);
+
 // Formats a double with `digits` fractional digits (fixed notation).
 std::string FormatDouble(double value, int digits);
 

@@ -19,7 +19,6 @@
 #include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/trace.h"
 #include "obs/trace_collector.h"
 #include "rt/runtime.h"
 
@@ -156,54 +155,7 @@ TEST(Metrics, StandardMetricsRegisteredInDefault) {
   EXPECT_EQ(reg.size(), before);
 }
 
-TEST(Trace, NestedSpansTrackParentage) {
-  MetricsRegistry registry;
-  TraceLog log(64);
-  EXPECT_EQ(TraceSpan::Current(), nullptr);
-  {
-    TraceSpan outer("outer", &registry, &log);
-    EXPECT_EQ(TraceSpan::Current(), &outer);
-    EXPECT_EQ(outer.depth(), 0u);
-    EXPECT_EQ(outer.parent(), nullptr);
-    {
-      TraceSpan inner("inner", &registry, &log);
-      EXPECT_EQ(TraceSpan::Current(), &inner);
-      EXPECT_EQ(inner.depth(), 1u);
-      ASSERT_NE(inner.parent(), nullptr);
-      EXPECT_EQ(inner.parent()->name(), "outer");
-    }
-    EXPECT_EQ(TraceSpan::Current(), &outer);
-  }
-  EXPECT_EQ(TraceSpan::Current(), nullptr);
-
-  const std::vector<SpanRecord> spans = log.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);  // inner finished first.
-  EXPECT_EQ(spans[0].name, "inner");
-  EXPECT_EQ(spans[0].parent, "outer");
-  EXPECT_EQ(spans[0].depth, 1u);
-  EXPECT_EQ(spans[1].name, "outer");
-  EXPECT_EQ(spans[1].parent, "");
-  // Each span also landed in a per-name latency histogram.
-  EXPECT_EQ(registry.histogram("apichecker_trace_inner_ms").count(), 1u);
-  EXPECT_EQ(registry.histogram("apichecker_trace_outer_ms").count(), 1u);
-}
-
-TEST(Trace, LogDropsOldestWhenFull) {
-  TraceLog log(8);
-  for (int i = 0; i < 20; ++i) {
-    SpanRecord r;
-    r.name = "s" + std::to_string(i);
-    log.Record(std::move(r));
-  }
-  EXPECT_GT(log.dropped(), 0u);
-  const std::vector<SpanRecord> spans = log.Snapshot();
-  EXPECT_LE(spans.size(), log.capacity());
-  // The newest record always survives.
-  ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(spans.back().name, "s19");
-}
-
-TEST(Trace, ScopedTimerRecordsOnce) {
+TEST(Metrics, ScopedTimerRecordsOnce) {
   MetricsRegistry registry;
   Histogram& hist = registry.histogram("apichecker_test_timer_ms");
   {
@@ -231,6 +183,44 @@ TEST(Export, PrometheusTextHasHelpTypeAndSamples) {
   EXPECT_NE(text.find("apichecker_test_ms_count 1"), std::string::npos);
 }
 
+TEST(Export, PrometheusTextSplitsLabelledSeriesIntoFamilies) {
+  MetricsRegistry registry;
+  registry.counter("apichecker_test_hits_total{class=\"bulk\"}", "hits").Increment(2);
+  registry.counter("apichecker_test_hits_total{class=\"interactive\"}", "hits").Increment(5);
+  const std::vector<double> bounds = Histogram::LinearBounds(1, 1, 2);
+  registry.histogram("apichecker_test_wait_ms", bounds, "wait").Observe(0.5);
+  registry.histogram("apichecker_test_wait_ms{size=\"large\"}", bounds, "wait").Observe(1.5);
+  // Sorts between apichecker_test_wait_ms and apichecker_test_wait_ms{...}.
+  registry.gauge("apichecker_test_wait_ms_peak", "peak").Set(4);
+  const std::string text = ToPrometheusText(registry);
+
+  const auto count = [&](const std::string& needle) {
+    size_t n = 0;
+    for (size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("# HELP apichecker_test_hits_total hits\n"), 1u);
+  EXPECT_EQ(count("# TYPE apichecker_test_hits_total counter\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_hits_total{class=\"bulk\"} 2\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_hits_total{class=\"interactive\"} 5\n"), 1u);
+  EXPECT_EQ(count("# TYPE apichecker_test_wait_ms histogram\n"), 1u);
+  EXPECT_EQ(count("# TYPE apichecker_test_wait_ms_peak gauge\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_bucket{le=\"1\"} 1\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_bucket{size=\"large\",le=\"1\"} 0\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_bucket{size=\"large\",le=\"+Inf\"} 1\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_sum{size=\"large\"} 1.5\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_count{size=\"large\"} 1\n"), 1u);
+  EXPECT_EQ(count("apichecker_test_wait_ms_count 1\n"), 1u);
+  // Every sample of a family follows its one TYPE line.
+  const size_t type_line = text.find("# TYPE apichecker_test_wait_ms histogram");
+  EXPECT_LT(type_line, text.find("apichecker_test_wait_ms_bucket{size="));
+  EXPECT_LT(text.find("apichecker_test_wait_ms_count{size="),
+            text.find("# TYPE apichecker_test_wait_ms_peak"));
+}
+
 TEST(Export, JsonRoundTrip) {
   MetricsRegistry registry;
   registry.counter("apichecker_test_events_total").Increment(7);
@@ -239,12 +229,8 @@ TEST(Export, JsonRoundTrip) {
   for (int i = 1; i <= 100; ++i) {
     hist.Observe(static_cast<double>(i));
   }
-  TraceLog log(16);
-  {
-    TraceSpan span("roundtrip", &registry, &log);
-  }
 
-  const std::string json = ToJson(registry, &log);
+  const std::string json = ToJson(registry);
   auto parsed = ParseJsonDump(json);
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_DOUBLE_EQ(parsed->counters.at("apichecker_test_events_total"), 7.0);
@@ -255,9 +241,6 @@ TEST(Export, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
   EXPECT_NEAR(h.quantiles.at("p50"), 50.5, 1.0);
-  EXPECT_EQ(parsed->num_spans, 1u);
-  // The roundtrip span's latency histogram also made it into the dump.
-  EXPECT_TRUE(parsed->histograms.count("apichecker_trace_roundtrip_ms"));
 }
 
 TEST(Export, ParseRejectsGarbage) {

@@ -9,6 +9,9 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "core/study.h"
 #include "ingest/apk_blob.h"
 #include "market/model_registry.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace_collector.h"
@@ -725,7 +729,7 @@ TEST(VettingService, TracesCoverTheFullPipelineAndFailoverSiblings) {
   }
   config.trace_sample_rate = 1.0;
   const auto store_dir =
-      std::filesystem::temp_directory_path() / "apichecker_trace_test_store";
+      std::filesystem::temp_directory_path() / "apichecker_traced_serve_store";
   std::filesystem::remove_all(store_dir);
   config.store.dir = store_dir.string();
   VettingService service(TestUniverse(), config, TrainedChecker());
@@ -823,6 +827,56 @@ PendingSubmission MakePending(Priority priority, uint64_t tag) {
 
 // Smooth WRR with weights {4,2,1} serves classes in the exact cycle
 // I R I B I R I (interactive 4, rescan 2, bulk 1 per 7 pops).
+TEST(VettingService, PrometheusExpositionOfTheWholeStackIsWellFormed) {
+  // Drive every layer a submission crosses (two farms, both priority
+  // classes, a parse error) so the default registry holds the labelled and
+  // unlabelled series a real serve run exports, then check the text
+  // exposition line by line.
+  obs::RegisterStandardMetrics();
+  ServiceConfig config = SmallConfig();
+  config.pool.num_farms = 2;
+  config.trace_sample_rate = 1.0;
+  VettingService service(TestUniverse(), config, TrainedChecker());
+  std::vector<std::future<VettingResult>> futures;
+  for (uint64_t i = 0; i < 8; ++i) {
+    const Priority priority = i % 2 == 0 ? Priority::kBulk : Priority::kInteractive;
+    auto accepted = service.Submit(MakeSubmission(MakeApkBytes(1300 + i), priority));
+    ASSERT_TRUE(accepted.ok());
+    futures.push_back(std::move(*accepted));
+  }
+  auto garbage = service.Submit(MakeSubmission({'n', 'o', 'p', 'e'}));
+  ASSERT_TRUE(garbage.ok());
+  futures.push_back(std::move(*garbage));
+  for (auto& future : futures) future.get();
+  service.Shutdown();
+
+  const std::string text = obs::ToPrometheusText(obs::MetricsRegistry::Default());
+  const std::regex sample(R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$)");
+  const std::regex type_line(R"(^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)$)");
+  std::set<std::string> families;
+  size_t samples = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# HELP ", 0) == 0) continue;
+    std::smatch match;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      if (!std::regex_match(line, match, type_line)) {
+        ADD_FAILURE() << "bad TYPE line: " << line;
+      } else {
+        EXPECT_TRUE(families.insert(match[1]).second) << "family typed twice: " << line;
+      }
+      continue;
+    }
+    EXPECT_TRUE(std::regex_match(line, sample)) << line;
+    ++samples;
+  }
+  EXPECT_GT(samples, families.size());
+  EXPECT_TRUE(families.count(obs::names::kServeAcceptedTotal));
+  EXPECT_TRUE(families.count(obs::names::kEmuRunBatchMs));
+  EXPECT_NE(text.find(std::string(obs::names::kServeAcceptedTotal) + "{class=\"bulk\"} "),
+            std::string::npos);
+}
+
 TEST(SubmissionShards, WeightedFairPopHonorsClassShares) {
   SubmissionShards shards(/*num_shards=*/1, /*per_shard_capacity=*/32,
                           {{4, 2, 1}});

@@ -300,6 +300,26 @@ TEST(Strings, FormatAndSplitJoin) {
   EXPECT_EQ(FormatCount(1'500.0), "1.5K");
 }
 
+TEST(Strings, JsonEscapeTable) {
+  const struct {
+    std::string_view in;
+    std::string_view out;
+  } cases[] = {
+      {"plain", "plain"},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"a\\b", "a\\\\b"},
+      {"line\nbreak", "line\\nbreak"},
+      {"tab\there", "tab\\there"},
+      {"\x01", "\\u0001"},
+      {"\x1f\r", "\\u001f\\u000d"},
+      {"caf\xc3\xa9 \xe2\x9c\x93", "caf\xc3\xa9 \xe2\x9c\x93"},  // UTF-8 unchanged.
+      {"", ""},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(JsonEscape(c.in), c.out) << "input: " << c.in;
+  }
+}
+
 TEST(Table, RendersAlignedAndCsv) {
   Table t({"name", "value"});
   t.AddRow({"alpha", "1"});

@@ -510,13 +510,15 @@ if [ "$UBSAN" = "1" ]; then
   # The byte-path decoders hand out span views into hostile bytes and the
   # CRC/SHA-1 kernels do unaligned wide loads: undefined behaviour there would
   # not crash under ASan, so these suites also run with UBSan, halting on the
-  # first report.
-  echo "=== ubsan: build + run test_util test_apk test_ingest test_fabric test_store test_farm_pool test_emu ==="
+  # first report. test_obs carries the JSON dump parser (another hostile-byte
+  # decoder) and the Prometheus/JSON exporters.
+  echo "=== ubsan: build + run test_util test_obs test_apk test_ingest test_fabric test_store test_farm_pool test_emu ==="
   cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DAPICHECKER_SANITIZE=undefined >/dev/null
-  cmake --build "$ROOT/build-ubsan" -j --target test_util test_apk test_ingest \
+  cmake --build "$ROOT/build-ubsan" -j --target test_util test_obs test_apk test_ingest \
     test_fabric test_store test_farm_pool test_emu
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   "$ROOT/build-ubsan/tests/test_util"
+  "$ROOT/build-ubsan/tests/test_obs"
   "$ROOT/build-ubsan/tests/test_emu"
   "$ROOT/build-ubsan/tests/test_apk"
   "$ROOT/build-ubsan/tests/test_ingest"
