@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks for the performance-critical primitives:
-// the ingest byte path (CRC-32, SHA-1, ReadApkBlob), APK build/parse, one
-// emulation run, feature encoding, SRC computation, and random-forest
-// train/predict. These guard the throughput that lets a single commodity
-// server vet ~10K apps/day. The byte-path cases report MB/s at the 8 MB size
-// of a large market APK, so a change in end-to-end throughput can be pinned
-// on one layer.
+// the ingest byte path (CRC-32, SHA-1, ReadApkBlob), APK build/parse and
+// both signature digests, the fabric RunBatch codec, one emulation run,
+// feature encoding, SRC computation, and random-forest train/predict. These
+// guard the throughput that lets a single commodity server vet ~10K apps/day.
+// The byte-path cases report MB/s at the 8 MB size of a large market APK, so
+// a change in end-to-end throughput can be pinned on one layer.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,7 @@
 #include "core/selection.h"
 #include "core/study.h"
 #include "emu/engine.h"
+#include "fabric/messages.h"
 #include "ingest/stream_reader.h"
 #include "ml/random_forest.h"
 #include "synth/corpus.h"
@@ -98,6 +99,56 @@ void BM_ParseApk(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * f.apk_bytes.size()));
 }
 BENCHMARK(BM_ParseApk);
+
+// The signature digest over the fixture's manifest and dex bytes: the span
+// ParseApk verifies on every parse and BuildApk signs on every build.
+// Arg 1 is v1 (the byte-serial SplitMix64 fold), arg 2 is v2 (SHA-1).
+void BM_ContentDigest(benchmark::State& state) {
+  const apk::ApkFile& parsed = Fixture::Get().apk;
+  const std::vector<uint8_t> manifest = apk::EncodeManifest(parsed.manifest);
+  const std::vector<uint8_t> dex = apk::EncodeDex(parsed.dex);
+  const bool v2 = state.range(0) == 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(v2 ? apk::ContentDigestV2({manifest, dex})
+                                : apk::ContentDigest({manifest, dex}));
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * (manifest.size() + dex.size())));
+  state.SetLabel(v2 ? "v2" : "v1");
+}
+BENCHMARK(BM_ContentDigest)->Arg(1)->Arg(2);
+
+// apk::BuildApk of an already-parsed ApkFile: the re-encode RemoteFarmClient
+// pays per APK before a RunBatch goes on the wire.
+void BM_BuildApkContainer(benchmark::State& state) {
+  const apk::ApkFile& parsed = Fixture::Get().apk;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<uint8_t> container =
+        apk::BuildApk(parsed.manifest, parsed.dex, parsed.has_native_lib);
+    bytes = container.size();
+    benchmark::DoNotOptimize(container.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_BuildApkContainer);
+
+// FAB1 RunBatch payload codec for a 16-APK batch of fixture containers:
+// EncodeRunBatch on the front end plus DecodeRunBatch on the worker.
+void BM_FabricRunBatchCodec(benchmark::State& state) {
+  fabric::RunBatchRequest request;
+  request.model_version = 1;
+  request.apks.assign(16, Fixture::Get().apk_bytes);
+  size_t payload_bytes = 0;
+  for (auto _ : state) {
+    const std::vector<uint8_t> payload = fabric::EncodeRunBatch(request);
+    payload_bytes = payload.size();
+    auto decoded = fabric::DecodeRunBatch(payload);
+    benchmark::DoNotOptimize(decoded.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * payload_bytes));
+}
+BENCHMARK(BM_FabricRunBatchCodec);
 
 // The fixture APK padded to 8 MB, as in the market workload's large bucket.
 const std::vector<uint8_t>& LargeApk() {

@@ -1,9 +1,11 @@
 #include "apk/apk.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "apk/zip.h"
 #include "util/rng.h"
+#include "util/sha1.h"
 #include "util/strings.h"
 
 namespace apichecker::apk {
@@ -27,7 +29,38 @@ std::string ContentDigest(std::initializer_list<std::span<const uint8_t>> parts)
 
 std::string ContentDigest(std::span<const uint8_t> bytes) { return ContentDigest({bytes}); }
 
+std::string ContentDigestV2(std::initializer_list<std::span<const uint8_t>> parts) {
+  util::Sha1Hasher hasher;
+  for (std::span<const uint8_t> part : parts) {
+    hasher.Update(part);
+  }
+  return hasher.FinalHex().substr(0, kContentDigestHexChars);
+}
+
+std::string ContentDigestV2(std::span<const uint8_t> bytes) { return ContentDigestV2({bytes}); }
+
 namespace {
+
+// Checks the signature entry against the manifest and dex bytes and returns
+// the bare digest it carries. "v2:" + 32 hex is a v2 entry; a bare 32-char
+// value is a v1 entry; anything else is an unknown version.
+util::Result<std::string> VerifySignature(std::string_view entry,
+                                          std::span<const uint8_t> manifest_bytes,
+                                          std::span<const uint8_t> dex_bytes) {
+  std::string expected;
+  if (entry.starts_with(kContentDigestV2Prefix)) {
+    entry.remove_prefix(std::string_view(kContentDigestV2Prefix).size());
+    expected = ContentDigestV2({manifest_bytes, dex_bytes});
+  } else if (entry.size() == kContentDigestHexChars) {
+    expected = ContentDigest({manifest_bytes, dex_bytes});
+  } else {
+    return util::Err("apk signature digest: unknown version or length");
+  }
+  if (entry != expected) {
+    return util::Err("apk signature digest mismatch");
+  }
+  return expected;
+}
 
 // Stub ELF-flavoured native library payload: a recognizable header plus a
 // little deterministic filler. Content is irrelevant to the pipeline beyond
@@ -49,7 +82,8 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
   const std::vector<uint8_t> dex_bytes = EncodeDex(dex);
 
   // Digest covers the code-bearing entries, like a real signature digest.
-  const std::string digest = ContentDigest({manifest_bytes, dex_bytes});
+  const std::string signature =
+      kContentDigestV2Prefix + ContentDigestV2({manifest_bytes, dex_bytes});
 
   ZipWriter writer;
   writer.AddEntry(kManifestEntry, manifest_bytes);
@@ -58,8 +92,8 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
     writer.AddEntry(kNativeLibEntry, NativeLibStub(dex.behavior_seed));
   }
   writer.AddEntry(kSignatureEntry,
-                  std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(digest.data()),
-                                           digest.size()));
+                  std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(signature.data()),
+                                           signature.size()));
   return writer.Finish();
 }
 
@@ -93,17 +127,19 @@ util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes) {
     return util::Err("apk dex: " + dex.error());
   }
 
-  const std::string expected_digest = ContentDigest({*manifest_bytes, *dex_bytes});
-  std::string stored_digest(signature_bytes->begin(), signature_bytes->end());
-  if (stored_digest != expected_digest) {
-    return util::Err("apk signature digest mismatch");
+  auto digest = VerifySignature(
+      std::string_view(reinterpret_cast<const char*>(signature_bytes->data()),
+                       signature_bytes->size()),
+      *manifest_bytes, *dex_bytes);
+  if (!digest.ok()) {
+    return util::Err(digest.error());
   }
 
   ApkFile apk;
   apk.manifest = std::move(*manifest);
   apk.dex = std::move(*dex);
   apk.has_native_lib = zip->Find(kNativeLibEntry).has_value();
-  apk.digest = std::move(stored_digest);
+  apk.digest = std::move(*digest);
   return apk;
 }
 

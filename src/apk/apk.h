@@ -30,14 +30,28 @@ struct ApkFile {
   Manifest manifest;
   DexFile dex;
   bool has_native_lib = false;
-  std::string digest;  // Hex content digest from the signature entry.
+  std::string digest;  // The signature entry's 32 hex chars, without a prefix.
 };
 
-// 128-bit content digest rendered as 32 hex chars.
+// The signature entry carries a 128-bit content digest of the manifest bytes
+// followed by the dex bytes, as 32 lowercase hex characters. There are two
+// versions, told apart by the entry's form:
+//   v1  the bare 32 characters: two SplitMix64 chains folded byte by byte.
+//       Not cryptographic (MD5's identity role, not a security role) and
+//       byte-serial. Older APKs and older front ends write it.
+//   v2  "v2:" + the 32 characters: the first 128 bits of SHA-1, which runs
+//       through util::Sha1Hasher's block kernel (BM_ContentDigest: >5x v1).
+// BuildApk writes v2. ParseApk verifies either and rejects any other form
+// (another prefix, another length) with a "digest" error. Both values are
+// part of the format and must stay bit-for-bit. Both stream over `parts`, so
+// ContentDigest({a, b}) == ContentDigest(a ++ b), and likewise for v2.
+inline constexpr size_t kContentDigestHexChars = 32;
+inline constexpr char kContentDigestV2Prefix[] = "v2:";
+
 std::string ContentDigest(std::span<const uint8_t> bytes);
-// Digest of the concatenation of `parts`, without building it: the digest is
-// a byte-serial fold, so ContentDigest({a, b}) == ContentDigest(a ++ b).
 std::string ContentDigest(std::initializer_list<std::span<const uint8_t>> parts);
+std::string ContentDigestV2(std::span<const uint8_t> bytes);
+std::string ContentDigestV2(std::initializer_list<std::span<const uint8_t>> parts);
 
 // Serializes the package into APK (ZIP) bytes. When `include_native_lib` is
 // set a small ARM-flavoured stub library is embedded (its presence is what
@@ -46,7 +60,7 @@ std::vector<uint8_t> BuildApk(const Manifest& manifest, const DexFile& dex,
                               bool include_native_lib);
 
 // Parses, validating container structure, entry CRCs, the manifest/dex
-// codecs, and the signature digest.
+// codecs, and the signature digest (v1 or v2, see above).
 util::Result<ApkFile> ParseApk(std::span<const uint8_t> bytes);
 
 // Rewrites a valid APK with an extra `assets/padding.bin` entry so the

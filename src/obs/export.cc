@@ -1,6 +1,8 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -278,37 +280,110 @@ class JsonParser {
     ++pos_;  // Opening quote.
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'u': {
-            // Only \u00XX (the escaper never emits higher code points).
-            if (pos_ + 4 > text_.size()) {
-              return util::Err(ErrorAt("bad unicode escape"));
-            }
-            c = static_cast<char>(std::strtol(std::string(text_.substr(pos_, 4)).c_str(),
-                                              nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default:
-            c = esc;
-        }
+      const char c = text_[pos_++];
+      if (c != '\\') {
+        out += c;
+        continue;
       }
-      out += c;
+      if (pos_ >= text_.size()) {
+        break;
+      }
+      switch (text_[pos_++]) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'u': {
+          auto code_point = ParseUnicodeEscape();
+          if (!code_point.ok()) {
+            return util::Err(code_point.error());
+          }
+          AppendUtf8(*code_point, out);
+          break;
+        }
+        default:
+          --pos_;
+          return util::Err(ErrorAt("bad escape"));
+      }
     }
     if (pos_ >= text_.size()) {
       return util::Err(ErrorAt("unterminated string"));
     }
     ++pos_;  // Closing quote.
     return out;
+  }
+
+  // Four hex digits at pos_, the body of a \u escape.
+  util::Result<uint32_t> ParseHex4() {
+    uint32_t value = 0;
+    const char* begin = text_.data() + pos_;
+    const char* end = begin + std::min<size_t>(4, text_.size() - pos_);
+    const auto parsed = std::from_chars(begin, end, value, 16);
+    if (end - begin != 4 || parsed.ec != std::errc() || parsed.ptr != end) {
+      return util::Err(ErrorAt("bad unicode escape"));
+    }
+    pos_ += 4;
+    return value;
+  }
+
+  // The code point of a \u escape whose 'u' was just consumed; a high
+  // surrogate must be followed by an escaped low one, and a low one alone is
+  // an error.
+  util::Result<uint32_t> ParseUnicodeEscape() {
+    auto unit = ParseHex4();
+    if (!unit.ok() || *unit < 0xD800 || *unit > 0xDFFF) {
+      return unit;
+    }
+    if (*unit >= 0xDC00 || text_.compare(pos_, 2, "\\u") != 0) {
+      return util::Err(ErrorAt("unpaired surrogate"));
+    }
+    pos_ += 2;
+    auto low = ParseHex4();
+    if (!low.ok()) {
+      return low;
+    }
+    if (*low < 0xDC00 || *low > 0xDFFF) {
+      return util::Err(ErrorAt("unpaired surrogate"));
+    }
+    return 0x10000 + ((*unit - 0xD800) << 10) + (*low - 0xDC00);
+  }
+
+  static void AppendUtf8(uint32_t code_point, std::string& out) {
+    if (code_point < 0x80) {
+      out += static_cast<char>(code_point);
+    } else if (code_point < 0x800) {
+      out += static_cast<char>(0xC0 | code_point >> 6);
+      out += static_cast<char>(0x80 | (code_point & 0x3F));
+    } else if (code_point < 0x10000) {
+      out += static_cast<char>(0xE0 | code_point >> 12);
+      out += static_cast<char>(0x80 | (code_point >> 6 & 0x3F));
+      out += static_cast<char>(0x80 | (code_point & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | code_point >> 18);
+      out += static_cast<char>(0x80 | (code_point >> 12 & 0x3F));
+      out += static_cast<char>(0x80 | (code_point >> 6 & 0x3F));
+      out += static_cast<char>(0x80 | (code_point & 0x3F));
+    }
   }
 
   util::Result<JsonValue> ParseNumber() {

@@ -1,9 +1,11 @@
 // Unit tests for src/apk: the ZIP container codec (zero-copy entry views and
 // hostile archives), manifest and dex codecs, APK assembly/parsing, and
-// tamper detection.
+// tamper detection, and both signature digest versions.
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -304,6 +306,34 @@ DexFile MakeDex() {
   return dex;
 }
 
+// Assembles an APK the way BuildApk does, but with a caller-chosen signature
+// entry: a v1 APK from an older build, or a malformed one.
+std::vector<uint8_t> BuildApkWithSignature(const Manifest& manifest, const DexFile& dex,
+                                           bool include_native_lib,
+                                           const std::string& signature) {
+  const auto original = BuildApk(manifest, dex, include_native_lib);
+  auto reader = ZipReader::Parse(original);  // Entry views borrow `original`.
+  EXPECT_TRUE(reader.ok());
+  ZipWriter writer;
+  for (const ZipEntry& entry : reader->entries()) {
+    if (entry.name == kSignatureEntry) {
+      writer.AddEntry(entry.name, Bytes(signature));
+    } else {
+      writer.AddEntry(entry.name, entry.data);
+    }
+  }
+  return writer.Finish();
+}
+
+// 1000 bytes covering every value 0..255: the digests' shared pin input.
+std::vector<uint8_t> DigestPattern() {
+  std::vector<uint8_t> pattern(1000);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  return pattern;
+}
+
 TEST(Dex, RoundTrips) {
   const DexFile dex = MakeDex();
   auto parsed = ParseDex(EncodeDex(dex));
@@ -518,6 +548,120 @@ TEST(Apk, ContentDigestIsStableAndSensitive) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a.size(), 32u);
+}
+
+// ContentDigestV2 is the first 128 bits of SHA-1, so its pins are the
+// published SHA-1 test vectors cut to 32 hex characters.
+TEST(Apk, ContentDigestV2GoldenValues) {
+  EXPECT_EQ(ContentDigestV2(Bytes("abc")), "a9993e364706816aba3e25717850c26c");
+  EXPECT_EQ(ContentDigestV2(std::span<const uint8_t>()), "da39a3ee5e6b4b0d3255bfef95601890");
+  const std::vector<uint8_t> pattern = DigestPattern();
+  EXPECT_EQ(ContentDigestV2(pattern), "2c4169b2993df842a68ce33d5a112033");
+}
+
+TEST(Apk, ContentDigestV2OfEverySplitEqualsTheWhole) {
+  const std::vector<uint8_t> pattern = DigestPattern();
+  const std::span<const uint8_t> all(pattern);
+  const std::string whole = ContentDigestV2(all);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(ContentDigestV2({all.first(split), all.subspan(split)}), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Apk, BuildApkWritesAV2SignatureEntry) {
+  Manifest m;
+  m.package_name = "com.x";
+  const DexFile dex = MakeDex();
+  const auto bytes = BuildApk(m, dex, false);
+  auto zip = ZipReader::Parse(bytes);
+  ASSERT_TRUE(zip.ok());
+  const auto entry = zip->Find(kSignatureEntry);
+  ASSERT_TRUE(entry.has_value());
+  const std::string digest = ContentDigestV2({EncodeManifest(m), EncodeDex(dex)});
+  EXPECT_EQ(std::string(entry->begin(), entry->end()), "v2:" + digest);
+
+  auto apk = ParseApk(bytes);
+  ASSERT_TRUE(apk.ok()) << apk.error();
+  EXPECT_EQ(apk->digest, digest);  // Without the prefix.
+}
+
+TEST(Apk, MixedVersionCorpusParses) {
+  std::vector<std::vector<uint8_t>> corpus;
+  for (uint32_t i = 0; i < 8; ++i) {
+    Manifest m;
+    m.package_name = "com.mixed.app" + std::to_string(i);
+    m.version_code = i;
+    DexFile dex = MakeDex();
+    dex.behavior_seed = i;
+    const bool native = i % 3 == 0;
+    if (i % 2 == 0) {
+      corpus.push_back(BuildApkWithSignature(
+          m, dex, native, ContentDigest({EncodeManifest(m), EncodeDex(dex)})));
+    } else {
+      corpus.push_back(BuildApk(m, dex, native));
+    }
+  }
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    auto apk = ParseApk(corpus[i]);
+    ASSERT_TRUE(apk.ok()) << "apk " << i << ": " << apk.error();
+    EXPECT_EQ(apk->manifest.package_name, "com.mixed.app" + std::to_string(i));
+    EXPECT_EQ(apk->has_native_lib, i % 3 == 0);
+    EXPECT_EQ(apk->digest.size(), kContentDigestHexChars);
+  }
+}
+
+TEST(Apk, SignatureVersionConfusionRejected) {
+  Manifest m;
+  m.package_name = "com.x";
+  const DexFile dex = MakeDex();
+  const std::vector<uint8_t> manifest_bytes = EncodeManifest(m);
+  const std::vector<uint8_t> dex_bytes = EncodeDex(dex);
+  const std::string v1 = ContentDigest({manifest_bytes, dex_bytes});
+  const std::string v2 = ContentDigestV2({manifest_bytes, dex_bytes});
+
+  std::string upper_v2 = v2;
+  std::ranges::transform(upper_v2, upper_v2.begin(),
+                         [](char c) { return static_cast<char>(std::toupper(c)); });
+  std::string upper_v1 = v1;
+  std::ranges::transform(upper_v1, upper_v1.begin(),
+                         [](char c) { return static_cast<char>(std::toupper(c)); });
+  std::string non_hex_v2 = v2;
+  non_hex_v2[5] = 'g';
+  std::string non_hex_v1 = v1;
+  non_hex_v1[5] = 'z';
+
+  const struct {
+    const char* what;
+    std::string entry;
+  } cases[] = {
+      {"v2 prefix on a v1 value", "v2:" + v1},
+      {"v2 value without its prefix", v2},
+      {"unknown version", "v3:" + v2},
+      {"v2 with 31 hex", "v2:" + v2.substr(0, 31)},
+      {"v2 with 33 hex", "v2:" + v2 + "0"},
+      {"v1 with 31 hex", v1.substr(0, 31)},
+      {"v1 with 33 hex", v1 + "0"},
+      {"uppercase v2", "v2:" + upper_v2},
+      {"uppercase v1", upper_v1},
+      {"non-hex v2", "v2:" + non_hex_v2},
+      {"non-hex v1", non_hex_v1},
+      {"bare prefix", "v2:"},
+      {"empty entry", ""},
+  };
+  for (const auto& c : cases) {
+    const auto result = ParseApk(BuildApkWithSignature(m, dex, false, c.entry));
+    ASSERT_FALSE(result.ok()) << c.what;
+    EXPECT_NE(result.error().find("digest"), std::string::npos) << c.what << ": "
+                                                                 << result.error();
+  }
+  // The two honest entries for the same content both parse to their digest.
+  auto as_v1 = ParseApk(BuildApkWithSignature(m, dex, false, v1));
+  auto as_v2 = ParseApk(BuildApkWithSignature(m, dex, false, "v2:" + v2));
+  ASSERT_TRUE(as_v1.ok()) << as_v1.error();
+  ASSERT_TRUE(as_v2.ok()) << as_v2.error();
+  EXPECT_EQ(as_v1->digest, v1);
+  EXPECT_EQ(as_v2->digest, v2);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Fabric tests: frame codec round-trips and hostile-input decode (truncated,
 // oversized, bad magic, CRC mismatch, version mismatch), message payload
 // codecs with untrusted counts, endpoint parsing, and live worker/client
-// integration — remote-vs-local bit-for-bit parity, hostile frames against a
+// integration — remote-vs-local bit-for-bit parity, v1-signed containers
+// vetting like their v2 builds, hostile frames against a
 // live worker (disconnect + counted, never a crash), universe-checksum
 // handshake rejection, the heartbeat-driven breaker-open bound, and the
 // reconnect -> half-open probe -> closed cycle. The FabricSoak suite
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "apk/apk.h"
+#include "apk/zip.h"
 #include "core/model_store.h"
 #include "core/study.h"
 #include "fabric/backend.h"
@@ -376,6 +378,76 @@ TEST(FabricWorker, RemoteBatchMatchesLocalBitForBit) {
   EXPECT_EQ(CounterValue(obs::names::kFabricModelSyncsTotal), syncs);
 
   remote.StopMonitor();
+  worker->Stop();
+  fs::remove(socket_path);
+}
+
+// Rewrites a BuildApk container with a v1 signature entry (the bare 32-char
+// ContentDigest), as a front end built before the v2 digest would send it.
+std::vector<uint8_t> AsV1Container(std::span<const uint8_t> v2_container) {
+  auto zip = apk::ZipReader::Parse(v2_container);
+  EXPECT_TRUE(zip.ok());
+  const std::string v1 =
+      apk::ContentDigest({*zip->Find(apk::kManifestEntry), *zip->Find(apk::kDexEntry)});
+  apk::ZipWriter writer;
+  for (const apk::ZipEntry& entry : zip->entries()) {
+    if (entry.name == apk::kSignatureEntry) {
+      writer.AddEntry(entry.name, std::vector<uint8_t>(v1.begin(), v1.end()));
+    } else {
+      writer.AddEntry(entry.name, entry.data);
+    }
+  }
+  return writer.Finish();
+}
+
+TEST(FabricWorker, V1ContainersVetLikeTheirV2Builds) {
+  const std::string socket_path = ScratchSocket();
+  auto worker = StartWorker(socket_path);
+  auto snapshot = Snapshot();
+
+  RunBatchRequest v1_batch;
+  RunBatchRequest v2_batch;
+  v1_batch.model_version = v2_batch.model_version = snapshot->version;
+  for (const apk::ApkFile& apk : MakeApks(23, 3)) {
+    v2_batch.apks.push_back(apk::BuildApk(apk.manifest, apk.dex, apk.has_native_lib));
+    v1_batch.apks.push_back(AsV1Container(v2_batch.apks.back()));
+    ASSERT_NE(v1_batch.apks.back(), v2_batch.apks.back());
+  }
+
+  auto socket = Socket::Connect(*ParseEndpoint("unix:" + socket_path), milliseconds(1000));
+  ASSERT_TRUE(socket.ok());
+  socket->SetRecvTimeout(milliseconds(10'000));
+  Hello hello;
+  hello.universe_checksum = UniverseChecksum(TestUniverse());
+  hello.client_name = "v1-front-end";
+  ASSERT_TRUE(socket->SendFrame(MsgType::kHello, EncodeHello(hello)).ok());
+  auto hello_ack = socket->RecvFrame();
+  ASSERT_TRUE(hello_ack.ok()) << hello_ack.error();
+  ASSERT_EQ(hello_ack->type, MsgType::kHelloAck);
+  SetModel set_model;
+  set_model.model_version = snapshot->version;
+  set_model.blob = core::SerializeChecker(snapshot->checker);
+  ASSERT_TRUE(socket->SendFrame(MsgType::kSetModel, EncodeSetModel(set_model)).ok());
+  auto model_ack = socket->RecvFrame();
+  ASSERT_TRUE(model_ack.ok()) << model_ack.error();
+  ASSERT_EQ(model_ack->type, MsgType::kSetModelAck);
+
+  std::vector<uint8_t> results[2];
+  for (int i = 0; i < 2; ++i) {
+    const RunBatchRequest& batch = i == 0 ? v1_batch : v2_batch;
+    ASSERT_TRUE(socket->SendFrame(MsgType::kRunBatch, EncodeRunBatch(batch)).ok());
+    auto reply = socket->RecvFrame();
+    ASSERT_TRUE(reply.ok()) << reply.error();
+    ASSERT_EQ(reply->type, MsgType::kBatchResult)
+        << (reply->type == MsgType::kError ? DecodeError(reply->payload)->message : "");
+    auto result = DecodeBatchResult(reply->payload);
+    ASSERT_TRUE(result.ok()) << result.error();
+    ASSERT_FALSE(result->farm_fault) << result->fault_reason;
+    ASSERT_EQ(result->reports.size(), batch.apks.size());
+    results[i] = EncodeBatchResult(*result);
+  }
+  EXPECT_EQ(results[0], results[1]);
+
   worker->Stop();
   fs::remove(socket_path);
 }

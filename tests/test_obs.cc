@@ -1,6 +1,6 @@
 // Unit tests for src/obs: counters, gauges, lock-striped histograms and
 // their quantiles, span tracing, scoped timers, exporters, the JSON
-// dump round-trip, the request-scoped TraceCollector, label escaping,
+// dump round-trip and its string escapes, the request-scoped TraceCollector, label escaping,
 // and the trace/bench file writers.
 
 #include <atomic>
@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "obs/names.h"
 #include "obs/trace_collector.h"
 #include "rt/runtime.h"
+#include "util/strings.h"
 
 namespace apichecker::obs {
 namespace {
@@ -246,6 +249,67 @@ TEST(Export, JsonRoundTrip) {
 TEST(Export, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseJsonDump("not json").ok());
   EXPECT_FALSE(ParseJsonDump("{\"counters\": [1,2]").ok());
+}
+
+// Decodes one JSON string literal body through ParseJsonDump (as a counter
+// name); nullopt when the dump is rejected.
+std::optional<std::string> DecodeJsonString(std::string_view body) {
+  auto parsed = ParseJsonDump("{\"counters\": {\"" + std::string(body) + "\": 1}}");
+  if (!parsed.ok()) {
+    return std::nullopt;
+  }
+  EXPECT_EQ(parsed->counters.size(), 1u);
+  return parsed->counters.begin()->first;
+}
+
+TEST(Export, JsonStringEscapeTable) {
+  const struct {
+    std::string_view body;
+    std::optional<std::string_view> decoded;  // nullopt: must be rejected.
+  } cases[] = {
+      {"plain", "plain"},
+      {"a\\rb", "a\rb"},
+      {"\\b\\f\\n\\t\\r", "\b\f\n\t\r"},
+      {"\\/\\\"\\\\", "/\"\\"},
+      {"\\u0041\\u00e9", "A\xc3\xa9"},
+      {"\\u0000", std::string_view("\0", 1)},
+      {"\\u007F\\u0080", "\x7f\xc2\x80"},
+      {"\\u07ff\\u0800", "\xdf\xbf\xe0\xa0\x80"},
+      {"\\u2713\\uFFFF", "\xe2\x9c\x93\xef\xbf\xbf"},
+      {"\\ud83d\\ude00", "\xf0\x9f\x98\x80"},  // Surrogate pair -> U+1F600.
+      {"\\udbff\\udfff", "\xf4\x8f\xbf\xbf"},  // U+10FFFF.
+      {"caf\xc3\xa9", "caf\xc3\xa9"},          // Raw UTF-8 passes through.
+      {"c\\u00zzd", std::nullopt},
+      {"\\u12", std::nullopt},
+      {"\\u 123", std::nullopt},
+      {"\\u+123", std::nullopt},
+      {"\\x41", std::nullopt},
+      {"\\a", std::nullopt},
+      {"\\ud83d", std::nullopt},          // High surrogate alone.
+      {"\\ud83dx", std::nullopt},         // High surrogate, then a plain char.
+      {"\\ud83d\\u0041", std::nullopt},   // High surrogate, then a non-surrogate.
+      {"\\ud83d\\ud83d", std::nullopt},   // Two high surrogates.
+      {"\\ude00", std::nullopt},          // Low surrogate alone.
+      {"\\ude00\\ud83d", std::nullopt},   // Pair in the wrong order.
+  };
+  for (const auto& c : cases) {
+    const auto decoded = DecodeJsonString(c.body);
+    if (c.decoded.has_value()) {
+      ASSERT_TRUE(decoded.has_value()) << "rejected: " << c.body;
+      EXPECT_EQ(*decoded, *c.decoded) << "body: " << c.body;
+    } else {
+      EXPECT_FALSE(decoded.has_value()) << "accepted: " << c.body;
+    }
+  }
+}
+
+TEST(Export, JsonEscapeRoundTripsEveryAsciiByte) {
+  for (int byte = 0; byte <= 0x7F; ++byte) {
+    const std::string raw = "x" + std::string(1, static_cast<char>(byte)) + "y";
+    const auto decoded = DecodeJsonString(util::JsonEscape(raw));
+    ASSERT_TRUE(decoded.has_value()) << "byte " << byte;
+    EXPECT_EQ(*decoded, raw) << "byte " << byte;
+  }
 }
 
 // Adapts an rt::Runtime into the reporter's TimerHost shape (what a unified-

@@ -16,6 +16,8 @@
 # then a steady-state thread-count gate (the unified runtime keeps process
 # threads O(cores): the peak thread gauge must stay flat as concurrent upload
 # clients quadruple),
+# then a microbench smoke (the signature-digest, APK parse/build and FAB1
+# RunBatch codec cases must build and run),
 # then rebuild the concurrency-sensitive tests and the byte-path kernels
 # under AddressSanitizer, the hostile-byte decoders under
 # UndefinedBehaviorSanitizer, and — unless skipped —
@@ -488,6 +490,17 @@ if many > few + 2:
 print("thread gate: peak %d threads at 2 clients, %d at 8 — flat" % (few, many))
 PYEOF
 echo "thread gate OK (process thread peak flat as upload clients quadruple)"
+
+echo "=== microbench: smoke (signature digests, APK parse/build, FAB1 codec) ==="
+"$ROOT/build/bench/bench_microbench" \
+  --benchmark_filter='ContentDigest|ParseApk$|BuildApk|RunBatchCodec' \
+  --benchmark_min_time=0.01 > "$SERVE_TMP/microbench.out"
+for case in BM_ContentDigest/1 BM_ContentDigest/2 BM_ParseApk BM_BuildApk \
+            BM_BuildApkContainer BM_FabricRunBatchCodec; do
+  grep -q "^$case " "$SERVE_TMP/microbench.out" || {
+    echo "microbench case did not run: $case"; cat "$SERVE_TMP/microbench.out"; exit 1; }
+done
+echo "microbench smoke OK"
 
 if [ "$ASAN" = "1" ]; then
   echo "=== asan: build + run test_util test_rt test_obs test_apk test_ingest test_serve test_store test_farm_pool test_fabric test_gateway ==="
